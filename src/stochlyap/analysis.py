@@ -28,7 +28,7 @@ from .errors import (
     StochLyapError,
     UnsupportedForm,
 )
-from .moments import SecondMomentData, expected_quadratic
+from .moments import SecondMomentData, expected_quadratic, operator_matrix
 from .sysmodel import AffineForm, SwitchedForm, SystemModel
 
 #: Iteration cap after which power iteration defers to a dense eigensolver.
@@ -55,10 +55,8 @@ class MomentOperatorMatrix:
 
 def build_operator(data: SecondMomentData) -> MomentOperatorMatrix:
     """Moment operator matrix from second-moment data (A-block only)."""
-    n = data.n
-    G4 = data.a_block.reshape(n, n, n, n)  # [i, j, k, l] = E[A_ij A_kl]
-    M = G4.transpose(1, 3, 0, 2).reshape(n * n, n * n)
-    return MomentOperatorMatrix(np.ascontiguousarray(M), n, data)
+    M = operator_matrix(data.a_block, data.n)
+    return MomentOperatorMatrix(np.ascontiguousarray(M), data.n, data)
 
 
 def spectral_radius(op: MomentOperatorMatrix, tol: float) -> float:

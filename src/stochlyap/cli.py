@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .errors import (
     UnsupportedForm,
     VerificationMismatch,
 )
+from .fileio import write_atomic
 from .sysmodel import SampledDataForm, SystemModel, model_from_obj
 
 SCHEMA_VERSION = 1
@@ -38,30 +38,21 @@ EXIT_NEGATIVE = 2  # unstable / infeasible
 EXIT_MISMATCH = 3
 
 
-def _write_atomic(path: str, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _emit(obj: dict, out: str | None) -> None:
     text = json.dumps(obj, indent=1)
     print(text)
     if out:
-        _write_atomic(out, text + "\n")
+        write_atomic(out, [text + "\n"])
 
 
 def _threads(requested: int | None) -> int:
     cap = os.environ.get("STOCH_LYAP_THREADS")
     t = 1 if requested is None else max(1, requested)
     if cap is not None:
-        t = min(t, max(1, int(cap)))
+        try:
+            t = min(t, max(1, int(cap)))
+        except ValueError:
+            raise StochLyapError(f"STOCH_LYAP_THREADS must be an integer, got {cap!r}") from None
     return t
 
 
@@ -73,7 +64,7 @@ def _load_model(path: str) -> SystemModel:
 def _resolve_moments(model, spec: str, seed: int, cache: str | None, threads: int):
     """Resolve the moment method string to data plus a config descriptor."""
     if cache and os.path.exists(cache):
-        data = moments.load_moments(cache)
+        data = moments.load_moments(cache, model)
         if (data.n, data.m, data.Z) != (model.n, model.m, model.Z):
             raise StochLyapError(f"moment cache {cache} does not match the model")
         return data, {"method": "cache", "path": cache}
@@ -97,7 +88,7 @@ def _resolve_moments(model, spec: str, seed: int, cache: str | None, threads: in
     else:
         raise StochLyapError(f"unknown moments method {spec!r}")
     if cache:
-        moments.save_moments(data, cache)
+        moments.save_moments(data, cache, model)
         desc["cached_to"] = cache
     return data, desc
 

@@ -17,9 +17,8 @@ expectation; they are the raw material of the synthesis inequality.
 
 from __future__ import annotations
 
+import hashlib
 import json
-import os
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -27,6 +26,7 @@ import numpy as np
 
 from .dist import substream
 from .errors import DimensionMismatch, NonFiniteSample, NotPSD, StochLyapError, UnsupportedForm
+from .fileio import write_atomic
 from .sysmodel import AffineForm, PolyForm, SwitchedForm, SystemModel, coefficient_term_grids
 
 #: Samples per Monte-Carlo block.  Block ``b`` draws from substream
@@ -139,6 +139,16 @@ class RearrangedFactors:
     gpb: np.ndarray | None
     n: int
     m: int
+
+
+def operator_matrix(gram: np.ndarray, n: int) -> np.ndarray:
+    """Matrix of ``P -> E[A^T P A]`` from the Gram matrix of ``row(A)``.
+
+    ``gram[(i, j), (k, l)] = E[A_ij A_kl]`` (``n^2`` square, or the same
+    array as ``[i, j, k, l]``) becomes ``M[(j, l), (i, k)]`` in
+    row-vectorization coordinates: a pure index permutation, no arithmetic.
+    """
+    return gram.reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n)
 
 
 def second_moment_analytic(model: SystemModel) -> SecondMomentData:
@@ -347,22 +357,35 @@ def closed_loop_second_moment(data: SecondMomentData, F: np.ndarray) -> SecondMo
     return SecondMomentData(g2, mean, data.method, n, 0, data.Z)
 
 
-def save_moments(data: SecondMomentData, path: str) -> None:
-    """Write moment data as JSON, atomically (temp file + rename)."""
-    payload = json.dumps({"schema": "stochlyap-moments/1", **data.to_obj()}, indent=1)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def model_fingerprint(model: SystemModel) -> str:
+    """SHA-256 of the model's canonical JSON (sorted keys, no whitespace)."""
+    text = json.dumps(model.to_obj(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
-def load_moments(path: str) -> SecondMomentData:
-    """Read moment data written by :func:`save_moments`."""
+def save_moments(data: SecondMomentData, path: str, model: SystemModel | None = None) -> None:
+    """Write moment data as JSON, atomically (temp file + rename).
+
+    With ``model`` the file also records :func:`model_fingerprint`, which
+    :func:`load_moments` checks when given the model to load for.
+    """
+    obj = {"schema": "stochlyap-moments/1", **data.to_obj()}
+    if model is not None:
+        obj["model_sha256"] = model_fingerprint(model)
+    write_atomic(path, [json.dumps(obj, indent=1)])
+
+
+def load_moments(path: str, model: SystemModel | None = None) -> SecondMomentData:
+    """Read moment data written by :func:`save_moments`.
+
+    With ``model``, raises :class:`StochLyapError` unless the file
+    records the fingerprint of exactly that model.
+    """
     with open(path) as f:
         obj = json.load(f)
+    if model is not None and obj.get("model_sha256") != model_fingerprint(model):
+        raise StochLyapError(
+            f"moment cache {path} was not computed for this model "
+            f"(fingerprint {obj.get('model_sha256')!r})"
+        )
     return SecondMomentData.from_obj(obj)

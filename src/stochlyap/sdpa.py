@@ -8,7 +8,8 @@ The exported problem is the standard SDPA primal
 with two PSD blocks:
 
 * block 1 (size ``n + (n+m)n^2``): the synthesis inequality,
-  ``F_a = S_a`` (the variable coefficient blocks) and ``F0 = margin I``;
+  ``F_a = S_a`` (the variable coefficient blocks, written straight from
+  the entry list :attr:`LmiProblem.basis`) and ``F0 = margin I``;
 * block 2 (size ``n``): the explicit ``X >= margin I`` condition,
   ``F_a`` the elementary symmetric matrix for X variables, zero for Y
   variables, and ``F0 = margin I``.
@@ -21,13 +22,12 @@ digits; ``matno`` 0 denotes ``F0``.
 
 from __future__ import annotations
 
-import os
 import re
-import tempfile
 
 import numpy as np
 
 from .errors import BackendFailure
+from .fileio import write_atomic
 from .synthesis import LmiProblem, _x_index_pairs
 
 
@@ -35,45 +35,35 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _entries(matno: int, blkno: int, M: np.ndarray, lines: list) -> None:
-    rows, cols = np.nonzero(np.triu(M))
-    for i, j in zip(rows, cols):
-        lines.append(f"{matno} {blkno} {i + 1} {j + 1} {_fmt(M[i, j])}")
-
-
-def write_problem(problem: LmiProblem, path: str) -> None:
-    """Write the feasibility problem as an SDPA sparse ``.dat-s`` file."""
-    n = problem.n
-    nvars = problem.num_vars
-    lines = [
+def _problem_chunks(problem: LmiProblem):
+    """The ``.dat-s`` text, one chunk for the header and constant and one per variable."""
+    n, D, nvars = problem.n, problem.dim, problem.num_vars
+    margin = _fmt(problem.margin)
+    yield "\n".join([
         '"stochlyap synthesis feasibility: block1 = rate inequality, '
         'block2 = X - margin*I"',
         f"{nvars} = mDIM",
         "2 = nBLOCK",
-        f"{problem.dim} {n} = bLOCKsTRUCT",
+        f"{D} {n} = bLOCKsTRUCT",
         " ".join(["0.0"] * nvars),
-    ]
-    _entries(0, 1, problem.margin * np.eye(problem.dim), lines)
-    _entries(0, 2, problem.margin * np.eye(n), lines)
+    ] + [f"0 1 {i} {i} {margin}" for i in range(1, D + 1)]
+      + [f"0 2 {i} {i} {margin}" for i in range(1, n + 1)]) + "\n"
+    b = problem.basis
+    bounds = np.searchsorted(b["var"], np.arange(nvars + 1))
     x_pairs = _x_index_pairs(n)
     for a in range(nvars):
-        _entries(a + 1, 1, problem.basis[a], lines)
+        rec = b[bounds[a]: bounds[a + 1]]
+        lines = [f"{a + 1} 1 {i + 1} {j + 1} {_fmt(v)}" for i, j, v in
+                 zip(rec["row"].tolist(), rec["col"].tolist(), rec["val"].tolist())]
         if a < len(x_pairs):
             i, j = x_pairs[a]
-            E = np.zeros((n, n))
-            E[i, j] += 1.0
-            E[j, i] += 1.0 if i != j else 0.0
-            _entries(a + 1, 2, E, lines)
-    payload = "\n".join(lines) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+            lines.append(f"{a + 1} 2 {i + 1} {j + 1} 1")
+        yield "".join(line + "\n" for line in lines)
+
+
+def write_problem(problem: LmiProblem, path: str) -> None:
+    """Write the feasibility problem as an SDPA sparse ``.dat-s`` file, atomically."""
+    write_atomic(path, _problem_chunks(problem))
 
 
 def read_problem(path: str):

@@ -10,8 +10,6 @@ The result is therefore bit-identical for any worker count.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -19,6 +17,7 @@ import numpy as np
 
 from .dist import substream
 from .errors import DegenerateWindow, StochLyapError
+from .fileio import write_atomic
 from .sysmodel import SystemModel
 
 #: Paths per accumulation block; also the parallel work unit.
@@ -182,12 +181,4 @@ def write_rms_csv(result: EnsembleResult, path: str) -> None:
     """Write ``k,rms`` rows with 17 significant digits, atomically."""
     lines = ["k,rms"]
     lines += [f"{k},{v:.17g}" for k, v in enumerate(result.rms)]
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, ["\n".join(lines) + "\n"])

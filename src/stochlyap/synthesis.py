@@ -45,6 +45,7 @@ from .moments import (
     SecondMomentData,
     closed_loop_second_moment,
     factorize,
+    operator_matrix,
 )
 from .analysis import StabilityReport, stability_report
 from .sysmodel import SystemModel
@@ -90,36 +91,52 @@ def join_vars(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     )
 
 
+#: Record layout of :attr:`LmiProblem.basis`: the coefficient block of
+#: variable ``var`` has the entry ``val`` at ``(row, col)`` (0-based).
+ENTRY_DTYPE = np.dtype(
+    [("var", np.int32), ("row", np.int32), ("col", np.int32), ("val", np.float64)]
+)
+
+
 @dataclass(frozen=True, eq=False)
 class LmiProblem:
     """Assembled synthesis inequality ``M(vars) >= margin * I``.
 
-    ``basis`` stacks one symmetric coefficient block per scalar variable
-    in the :func:`split_vars` layout; the map ``vars -> M(vars)`` is
-    linear with no constant term.
+    ``M(v) = sum_a v_a S_a`` is linear in the variables (the
+    :func:`split_vars` layout) with no constant term.  ``basis`` lists
+    the nonzero upper-triangle entries of every symmetric block ``S_a``
+    as :data:`ENTRY_DTYPE` records sorted by ``(var, row, col)``, which
+    is exactly the SDPA entry list of the rate block; its size grows
+    with the number of nonzeros, not with ``num_vars * dim^2``.
     """
 
     basis: np.ndarray
+    dim: int
+    num_vars: int
     margin: float
     lam: float
     n: int
     m: int
     factors: RearrangedFactors
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    @property
-    def num_vars(self) -> int:
-        return self.basis.shape[0]
-
     def assemble_at(self, v: np.ndarray) -> np.ndarray:
-        return np.tensordot(np.asarray(v, float), self.basis, axes=1)
+        """Dense ``M(v)``: the upper triangle scattered, then mirrored."""
+        D, b = self.dim, self.basis
+        weights = np.asarray(v, float)[b["var"]] * b["val"]
+        flat = b["row"].astype(np.int64) * D + b["col"]
+        M = np.bincount(flat, weights=weights, minlength=D * D).reshape(D, D)
+        return M + np.triu(M, 1).T
 
 
 def assemble(factors: RearrangedFactors, lam: float, margin: float) -> LmiProblem:
-    """Build the block-inequality basis for one decay rate.
+    """Build the entry list of the block inequality for one decay rate.
+
+    The blocks come straight from the formula in the module docstring:
+    for ``X_ij`` (``i <= j``) they are ``lam^2`` at ``(i, j)``, the
+    ``GpA`` columns ``j`` and ``i`` in rows ``i`` and ``j`` of the
+    off-diagonal block, and the ``w`` unit diagonals of block ``(i, j)``
+    of ``X kron I_w``; for ``Y_qj`` the ``GpB`` column ``q`` in row ``j``
+    of the off-diagonal block.
 
     Parameters
     ----------
@@ -135,26 +152,38 @@ def assemble(factors: RearrangedFactors, lam: float, margin: float) -> LmiProble
         raise AnalysisOnlyModel("synthesis needs an input channel (m >= 1)")
     w = (n + m) * n
     D = n + w * n
-    blocks = []
-    for i, j in _x_index_pairs(n):
-        E = np.zeros((n, n))
-        E[i, j] += 1.0
-        E[j, i] += 1.0 if i != j else 0.0
-        S = np.zeros((D, D))
-        S[:n, :n] = lam**2 * E
-        S[n:, :n] = factors.gpa @ E
-        S[:n, n:] = S[n:, :n].T
-        S[n:, n:] = np.kron(E, np.eye(w))
-        blocks.append(S)
+    off = np.arange(n, D)  # the columns of the off-diagonal block, in the upper triangle
+    diag = np.arange(w)
+    parts = []  # (var, row, cols, vals), already in (var, row, col) order
+
+    for a, (i, j) in enumerate(_x_index_pairs(n)):
+        parts.append((a, i, np.array([j]), np.array([lam**2])))
+        parts.append((a, i, off, factors.gpa[:, j]))
+        if i != j:
+            parts.append((a, j, off, factors.gpa[:, i]))
+        parts.append((a, n + i * w + diag, n + j * w + diag, np.ones(w)))
+    a0 = n * (n + 1) // 2
     for q in range(m):
         for j in range(n):
-            E = np.zeros((m, n))
-            E[q, j] = 1.0
-            S = np.zeros((D, D))
-            S[n:, :n] = factors.gpb @ E
-            S[:n, n:] = S[n:, :n].T
-            blocks.append(S)
-    return LmiProblem(np.stack(blocks), float(margin), float(lam), n, m, factors)
+            parts.append((a0 + q * n + j, j, off, factors.gpb[:, q]))
+
+    sizes = [len(cols) for _, _, cols, _ in parts]
+    basis = np.empty(sum(sizes), dtype=ENTRY_DTYPE)
+    basis["var"] = np.repeat([p[0] for p in parts], sizes)
+    basis["row"] = np.concatenate([np.broadcast_to(p[1], (k,)) for p, k in zip(parts, sizes)])
+    basis["col"] = np.concatenate([p[2] for p in parts])
+    basis["val"] = np.concatenate([p[3] for p in parts])
+    basis = basis[basis["val"] != 0.0]
+    return LmiProblem(basis, D, a0 + m * n, float(margin), float(lam), n, m, factors)
+
+
+def _dense_basis(problem: LmiProblem) -> np.ndarray:
+    """The ``dim^2 x num_vars`` matrix whose column ``a`` is ``vec(S_a)``.
+
+    Built from :meth:`LmiProblem.assemble_at` on unit vectors; only the
+    dense reference backend uses it, on problems small enough for it.
+    """
+    return np.array([problem.assemble_at(e).ravel() for e in np.eye(problem.num_vars)]).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,11 +212,15 @@ def closed_loop_rate(factors: RearrangedFactors, F: np.ndarray) -> float:
     F = np.atleast_2d(np.asarray(F, float))
     if F.shape != (m, n):
         raise DimensionMismatch(f"gain shape {F.shape} != ({m}, {n})")
-    w = (n + m) * n
-    H = (factors.gpa + factors.gpb @ F).reshape(n, w, n)
-    G4 = np.einsum("iwj,kwl->ijkl", H, H)
-    M = G4.transpose(1, 3, 0, 2).reshape(n * n, n * n)
+    M = _closed_loop_operator(factors, F)
     return float(np.sqrt(np.abs(np.linalg.eigvals(M)).max()))
+
+
+def _closed_loop_operator(factors: RearrangedFactors, F: np.ndarray) -> np.ndarray:
+    """Moment operator matrix of the closed loop ``A + B F``."""
+    n, m = factors.n, factors.m
+    H = (factors.gpa + factors.gpb @ F).reshape(n, (n + m) * n, n)
+    return operator_matrix(np.einsum("iwj,kwl->ijkl", H, H), n)
 
 
 def _certificate_point(factors: RearrangedFactors, F: np.ndarray, lam: float):
@@ -197,12 +230,9 @@ def _certificate_point(factors: RearrangedFactors, F: np.ndarray, lam: float):
     returns ``X = P^{-1}``, ``Y = F X``; None when the solve fails or
     yields a non-PD ``P``.
     """
-    n, m = factors.n, factors.m
+    n = factors.n
     F = np.atleast_2d(np.asarray(F, float))
-    w = (n + m) * n
-    H = (factors.gpa + factors.gpb @ F).reshape(n, w, n)
-    G4 = np.einsum("iwj,kwl->ijkl", H, H)
-    M = G4.transpose(1, 3, 0, 2).reshape(n * n, n * n)
+    M = _closed_loop_operator(factors, F)
     try:
         vec = np.linalg.solve(lam**2 * np.eye(n * n) - M, np.eye(n).ravel())
     except np.linalg.LinAlgError:
@@ -265,7 +295,7 @@ def _seed_points(problem: LmiProblem, warm_start, seed_gains, default_seeds):
     if default_seeds:
         seeds.append(join_vars(np.eye(n), np.zeros((m, n))))
         # least-squares fit of the identity within the subspace
-        Bmat = problem.basis.reshape(problem.num_vars, -1).T
+        Bmat = _dense_basis(problem)
         v_ls = np.linalg.lstsq(Bmat, np.eye(problem.dim).ravel(), rcond=None)[0]
         seeds.append(v_ls)
     for F in seed_gains:
@@ -308,7 +338,7 @@ def _solve_reference(problem: LmiProblem, warm_start, seed_gains, cap: int,
     # plain projection on the (linear) variable subspace.  An SVD basis
     # keeps the projection correct when basis blocks are dependent
     # (e.g. zero input columns).
-    Bmat = problem.basis.reshape(problem.num_vars, -1).T
+    Bmat = _dense_basis(problem)
     U_b, s_b, _ = np.linalg.svd(Bmat, full_matrices=False)
     Q = U_b[:, s_b > 1e-12 * (s_b[0] if s_b.size else 1.0)]
     pinv = np.linalg.pinv(Bmat)

@@ -101,6 +101,26 @@ class TestAnalyze:
         second = run_cli(["analyze", control_model, "--moments-cache", cache])
         assert json.loads(second.stdout)["config"]["moments"]["method"] == "cache"
 
+    def test_moments_cache_of_another_model_rejected(self, tmp_path):
+        # same (n, m, Z), different modes: the cache must not be reused
+        cache = str(tmp_path / "cache.json")
+        paths = []
+        for a1 in (2.0, 0.2):
+            path = tmp_path / f"switched_{a1}.json"
+            path.write_text(json.dumps({
+                "form": "switched", "n": 1, "Z": 1,
+                "modes": [[[a1]], [[0.5]]],
+                "dist": {"coords": [{"discrete": {"values": [1, 2], "probs": [0.5, 0.5]}}]},
+            }))
+            paths.append(str(path))
+        first = run_cli(["analyze", paths[0], "--moments-cache", cache])
+        assert first.returncode == 2 and os.path.exists(cache)
+        second = run_cli(["analyze", paths[1], "--moments-cache", cache])
+        assert second.returncode == 1 and not second.stdout
+        assert second.stderr.startswith("error:") and "cache" in second.stderr
+        fresh = run_cli(["analyze", paths[1]])
+        assert json.loads(fresh.stdout)["report"]["stable"] is True
+
 
 class TestSimulate:
     def test_csv_deterministic_serial_vs_parallel(self, det_model, tmp_path):
@@ -124,6 +144,12 @@ class TestSimulate:
         assert r.returncode == 0
         lines = open(out_csv).read().strip().split("\n")
         assert lines[0] == "k,rms" and len(lines) == 7
+
+    def test_threads_env_not_an_integer(self, det_model):
+        r = run_cli(["analyze", det_model], env_extra={"STOCH_LYAP_THREADS": "two"})
+        assert r.returncode == 1 and not r.stdout
+        assert r.stderr.startswith("error:") and "STOCH_LYAP_THREADS" in r.stderr
+        assert "Traceback" not in r.stderr and len(r.stderr.splitlines()) == 1
 
     def test_threads_env_caps(self, det_model, tmp_path):
         r = run_cli(["simulate", det_model, "--x0", "1,0", "--paths", "100",

@@ -275,6 +275,17 @@ class TestSerialization:
         assert again.method == data.method
         assert (again.n, again.m, again.Z) == (data.n, data.m, data.Z)
 
+    def test_fingerprint_checked(self, tmp_path):
+        model, other = switched_pair(2.0, 0.5), switched_pair(0.2, 0.5)
+        path = str(tmp_path / "moments.json")
+        save_moments(second_moment_analytic(model), path, model)
+        assert np.array_equal(load_moments(path, model).g2, second_moment_analytic(model).g2)
+        with pytest.raises(StochLyapError):
+            load_moments(path, other)
+        save_moments(second_moment_analytic(model), path)  # no fingerprint recorded
+        with pytest.raises(StochLyapError):
+            load_moments(path, model)
+
 
 class TestPropertyInvariants:
     """Hypothesis checks of the structural invariants."""

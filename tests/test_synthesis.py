@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stochlyap.analysis import check_quadratic
-from stochlyap.dist import Constant, Discrete, DistributionSpec, Normal
+from stochlyap.dist import Constant, Discrete, DistributionSpec, Normal, Uniform
 from stochlyap.errors import (
     AnalysisOnlyModel,
     BackendFailure,
@@ -17,6 +17,7 @@ from stochlyap.moments import (
 )
 from stochlyap import sdpa
 from stochlyap.synthesis import (
+    _x_index_pairs,
     assemble,
     candidate_gains,
     closed_loop_rate,
@@ -65,6 +66,46 @@ def solve_parsed_sdpa(path):
     if prob.status not in ("optimal", "optimal_inaccurate"):
         raise RuntimeError(f"cvxpy status {prob.status}")
     return t.value > 0.0
+
+
+def dense_blocks(factors, lam):
+    """Dense coefficient blocks ``S_a`` of the synthesis inequality, one per variable.
+
+    Oracle for the entry list: every block is built in full from the
+    block formula ``[[lam^2 E, (GpA E)^T], [GpA E, E kron I_w]]`` for the
+    elementary symmetric ``E`` of each X variable, and the off-diagonal
+    ``GpB E`` for each Y variable.
+    """
+    n, m = factors.n, factors.m
+    w = (n + m) * n
+    D = n + w * n
+    blocks = []
+    for i, j in _x_index_pairs(n):
+        E = np.zeros((n, n))
+        E[i, j] += 1.0
+        E[j, i] += 1.0 if i != j else 0.0
+        S = np.zeros((D, D))
+        S[:n, :n] = lam**2 * E
+        S[n:, :n] = factors.gpa @ E
+        S[:n, n:] = S[n:, :n].T
+        S[n:, n:] = np.kron(E, np.eye(w))
+        blocks.append(S)
+    for q in range(m):
+        for j in range(n):
+            E = np.zeros((m, n))
+            E[q, j] = 1.0
+            S = np.zeros((D, D))
+            S[n:, :n] = factors.gpb @ E
+            S[:n, n:] = S[n:, :n].T
+            blocks.append(S)
+    return np.stack(blocks)
+
+
+def random_noisy_pair(rng, n, m):
+    """Affine model with noise on A and B, so that every factor column is nonzero."""
+    dist = DistributionSpec((Normal(0.0, 1.0), Uniform(-1.0, 1.0)))
+    return AffineForm(tuple(rng.normal(size=(n, n)) for _ in range(3)), dist,
+                      tuple(rng.normal(size=(n, m)) for _ in range(3)))
 
 
 class TestAssemble:
@@ -119,6 +160,42 @@ class TestAssemble:
             assert block_pd == (margin > 0), f"trial {trial}"
             hits[block_pd] += 1
         assert hits[True] >= 3 and hits[False] >= 3
+
+
+class TestEntryList:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_oracle(self, seed, tmp_path):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+        factors = factorize(second_moment_analytic(random_noisy_pair(rng, n, m)))
+        lam = float(rng.uniform(0.3, 1.2))
+        problem = assemble(factors, lam, margin=1e-7)
+        S = dense_blocks(factors, lam)
+        assert (problem.num_vars, problem.dim) == S.shape[:2]
+        b = problem.basis
+        assert np.all(b["row"] <= b["col"]) and np.all(b["val"] != 0.0)
+        D = problem.dim
+        key = (b["var"].astype(np.int64) * D + b["row"]) * D + b["col"]
+        assert np.all(np.diff(key) > 0)  # sorted by (var, row, col), no repeats
+        for _ in range(3):
+            v = rng.normal(size=problem.num_vars)
+            assert np.allclose(problem.assemble_at(v), np.tensordot(v, S, axes=1),
+                               rtol=0, atol=1e-12)
+        path = str(tmp_path / "prob.dat-s")
+        sdpa.write_problem(problem, path)
+        _, F, _ = sdpa.read_problem(path)
+        for a in range(problem.num_vars):
+            assert np.array_equal(F[a + 1][0], S[a])
+
+    def test_memory_scales_with_nonzeros(self):
+        # 2-mode switched n=16, m=1: the dense basis would be 152 x 4368^2 doubles (23 GB)
+        rng = np.random.default_rng(7)
+        dist = DistributionSpec((Discrete((1.0, 2.0), (0.4, 0.6)),))
+        model = SwitchedForm(tuple(rng.normal(size=(16, 16)) for _ in range(2)), dist,
+                             tuple(rng.normal(size=(16, 1)) for _ in range(2)))
+        problem = assemble(factorize(second_moment_analytic(model)), 0.9, 1e-6)
+        assert problem.dim == 4368
+        assert problem.basis.nbytes < 50e6
 
 
 class TestSolveFeasibility:
@@ -198,8 +275,9 @@ class TestSdpaExport:
         assert np.array_equal(c, np.zeros(problem.num_vars))
         assert np.allclose(F[0][0], problem.margin * np.eye(problem.dim))
         assert np.allclose(F[0][1], problem.margin * np.eye(problem.n))
+        eye = np.eye(problem.num_vars)
         for a in range(problem.num_vars):
-            assert np.allclose(F[a + 1][0], problem.basis[a], atol=0)
+            assert np.allclose(F[a + 1][0], problem.assemble_at(eye[a]), atol=0)
         # X block coefficients: elementary symmetric for X vars, zero for Y
         assert np.allclose(F[1][1], np.array([[1.0, 0.0], [0.0, 0.0]]))
         assert np.allclose(F[problem.num_vars][1], 0.0)
