@@ -363,27 +363,26 @@ def model_fingerprint(model: SystemModel) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def save_moments(data: SecondMomentData, path: str, model: SystemModel | None = None) -> None:
+def save_moments(data: SecondMomentData, path: str, model: SystemModel) -> None:
     """Write moment data as JSON, atomically (temp file + rename).
 
-    With ``model`` the file also records :func:`model_fingerprint`, which
-    :func:`load_moments` checks when given the model to load for.
+    The file records :func:`model_fingerprint` of ``model``, which
+    :func:`load_moments` checks.
     """
-    obj = {"schema": "stochlyap-moments/1", **data.to_obj()}
-    if model is not None:
-        obj["model_sha256"] = model_fingerprint(model)
+    obj = {"schema": "stochlyap-moments/1", **data.to_obj(),
+           "model_sha256": model_fingerprint(model)}
     write_atomic(path, [json.dumps(obj, indent=1)])
 
 
-def load_moments(path: str, model: SystemModel | None = None) -> SecondMomentData:
-    """Read moment data written by :func:`save_moments`.
+def load_moments(path: str, model: SystemModel) -> SecondMomentData:
+    """Read moment data written by :func:`save_moments` for ``model``.
 
-    With ``model``, raises :class:`StochLyapError` unless the file
-    records the fingerprint of exactly that model.
+    Raises :class:`StochLyapError` unless the file records the
+    fingerprint of exactly that model.
     """
     with open(path) as f:
         obj = json.load(f)
-    if model is not None and obj.get("model_sha256") != model_fingerprint(model):
+    if obj.get("model_sha256") != model_fingerprint(model):
         raise StochLyapError(
             f"moment cache {path} was not computed for this model "
             f"(fingerprint {obj.get('model_sha256')!r})"

@@ -39,6 +39,10 @@ def _problem_chunks(problem: LmiProblem):
     """The ``.dat-s`` text, one chunk for the header and constant and one per variable."""
     n, D, nvars = problem.n, problem.dim, problem.num_vars
     margin = _fmt(problem.margin)
+    # F0 = margin I has no nonzero entry to write when the margin is zero
+    f0 = [] if problem.margin == 0.0 else (
+        [f"0 1 {i} {i} {margin}" for i in range(1, D + 1)]
+        + [f"0 2 {i} {i} {margin}" for i in range(1, n + 1)])
     yield "\n".join([
         '"stochlyap synthesis feasibility: block1 = rate inequality, '
         'block2 = X - margin*I"',
@@ -46,8 +50,7 @@ def _problem_chunks(problem: LmiProblem):
         "2 = nBLOCK",
         f"{D} {n} = bLOCKsTRUCT",
         " ".join(["0.0"] * nvars),
-    ] + [f"0 1 {i} {i} {margin}" for i in range(1, D + 1)]
-      + [f"0 2 {i} {i} {margin}" for i in range(1, n + 1)]) + "\n"
+    ] + f0) + "\n"
     b = problem.basis
     bounds = np.searchsorted(b["var"], np.arange(nvars + 1))
     x_pairs = _x_index_pairs(n)

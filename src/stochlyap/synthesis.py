@@ -287,15 +287,15 @@ def candidate_gains(data: SecondMomentData, refine: bool = True) -> list[np.ndar
     return cands
 
 
-def _seed_points(problem: LmiProblem, warm_start, seed_gains, default_seeds):
+def _seed_points(problem: LmiProblem, warm_start, seed_gains, Bmat):
+    """Candidate start points; the default seeds need the dense basis ``Bmat``."""
     n, m = problem.n, problem.m
     seeds = []
     if warm_start is not None:
         seeds.append(np.asarray(warm_start, float))
-    if default_seeds:
+    if Bmat is not None:
         seeds.append(join_vars(np.eye(n), np.zeros((m, n))))
         # least-squares fit of the identity within the subspace
-        Bmat = _dense_basis(problem)
         v_ls = np.linalg.lstsq(Bmat, np.eye(problem.dim).ravel(), rcond=None)[0]
         seeds.append(v_ls)
     for F in seed_gains:
@@ -323,7 +323,8 @@ def _rescaled_if_pd(problem: LmiProblem, v: np.ndarray):
 
 def _solve_reference(problem: LmiProblem, warm_start, seed_gains, cap: int,
                      default_seeds: bool = True):
-    seeds = _seed_points(problem, warm_start, seed_gains, default_seeds)
+    Bmat = _dense_basis(problem) if default_seeds else None
+    seeds = _seed_points(problem, warm_start, seed_gains, Bmat)
     scored = []
     for v in seeds:
         out = _rescaled_if_pd(problem, v)
@@ -338,7 +339,8 @@ def _solve_reference(problem: LmiProblem, warm_start, seed_gains, cap: int,
     # plain projection on the (linear) variable subspace.  An SVD basis
     # keeps the projection correct when basis blocks are dependent
     # (e.g. zero input columns).
-    Bmat = _dense_basis(problem)
+    if Bmat is None:
+        Bmat = _dense_basis(problem)
     U_b, s_b, _ = np.linalg.svd(Bmat, full_matrices=False)
     Q = U_b[:, s_b > 1e-12 * (s_b[0] if s_b.size else 1.0)]
     pinv = np.linalg.pinv(Bmat)

@@ -1,5 +1,7 @@
 """Second-moment data: analytic vs Monte-Carlo vs brute-force oracles."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -263,13 +265,14 @@ class TestClosedLoopData:
 class TestSerialization:
     @pytest.mark.parametrize("analytic", [False, True])
     def test_round_trip(self, tmp_path, analytic):
+        model = example1_model()
         if analytic:
-            data = second_moment_analytic(example1_model())
+            data = second_moment_analytic(model)
         else:
-            data = second_moment_mc(example1_model(), 5000, seed=1)
+            data = second_moment_mc(model, 5000, seed=1)
         path = tmp_path / "moments.json"
-        save_moments(data, str(path))
-        again = load_moments(str(path))
+        save_moments(data, str(path), model)
+        again = load_moments(str(path), model)
         assert np.array_equal(again.g2, data.g2)
         assert np.array_equal(again.mean, data.mean)
         assert again.method == data.method
@@ -282,7 +285,11 @@ class TestSerialization:
         assert np.array_equal(load_moments(path, model).g2, second_moment_analytic(model).g2)
         with pytest.raises(StochLyapError):
             load_moments(path, other)
-        save_moments(second_moment_analytic(model), path)  # no fingerprint recorded
+        with open(path) as f:
+            obj = json.load(f)
+        del obj["model_sha256"]
+        with open(path, "w") as f:
+            json.dump(obj, f)
         with pytest.raises(StochLyapError):
             load_moments(path, model)
 

@@ -282,6 +282,16 @@ class TestSdpaExport:
         assert np.allclose(F[1][1], np.array([[1.0, 0.0], [0.0, 0.0]]))
         assert np.allclose(F[problem.num_vars][1], 0.0)
 
+    def test_zero_margin_writes_no_constant(self, tmp_path):
+        problem, data = self.make_problem()
+        zero = assemble(factorize(data), problem.lam, margin=0.0)
+        path = tmp_path / "zero.dat-s"
+        sdpa.write_problem(zero, str(path))
+        lines = path.read_text().splitlines()
+        assert not any(line.startswith("0 ") for line in lines)
+        _, F, _ = sdpa.read_problem(str(path))
+        assert not F[0][0].any() and not F[0][1].any()
+
     def test_export_backend_statuses(self, tmp_path):
         problem, _ = self.make_problem()
         path = str(tmp_path / "prob.dat-s")
