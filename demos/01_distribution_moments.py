@@ -22,7 +22,7 @@ for alpha in [(2, 0, 0), (0, 2, 0), (0, 0, 1), (2, 2, 0), (4, 0, 0), (1, 1, 1)]:
     print(f"  alpha={alpha}: {spec.moment(alpha):.10g}")
 
 # Sampling is fully reproducible: streams are counter-based (Philox) and
-# substreams are derived as seed XOR index, so ensembles are portable.
+# substreams are keyed by the pair (seed, index), so ensembles are portable.
 rng = make_stream(42)
 draws = spec.sample_block(rng, 200_000)
 print("\nMonte-Carlo check on 2e5 seeded draws:")

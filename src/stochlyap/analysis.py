@@ -63,25 +63,37 @@ def spectral_radius(op: MomentOperatorMatrix, tol: float) -> float:
     """Spectral radius of the moment operator.
 
     Power iteration on the Lyapunov-matrix space from ``P = I`` with a
-    Rayleigh-quotient residual test; falls back to a dense eigensolver
-    when the dominant eigenvalue is not isolated enough to converge
-    within :data:`POWER_ITERATION_CAP` iterations.
+    Rayleigh-quotient residual test on ``T``; falls back to a dense
+    eigensolver when the dominant eigenvalue is not isolated enough to
+    converge within :data:`POWER_ITERATION_CAP` iterations.
+
+    Every other step applies the shifted map ``P -> T(P) + c P`` with
+    ``c = ||T(P0)|| > 0``, so the iteration runs on ``T (T + cI)``.
+    ``T`` is a positive map, so ``rho`` is one of its eigenvalues, and
+    ``rho (rho + c)`` is the only eigenvalue of ``T (T + cI)`` of largest
+    modulus even when ``T`` also has ``-rho`` or other eigenvalues of
+    modulus ``rho`` (cyclic switching), where plain power iteration never
+    settles.  The plain ``T`` steps keep the exact stop at ``T(P) = 0``
+    when ``T`` is nilpotent, which ``T + cI`` alone would lose.
     """
     if not 0.0 < tol <= 1e-2:
         raise StochLyapError(f"tol must lie in (0, 1e-2], got {tol}")
     n = op.n
     M = op.matrix
     P = np.eye(n).ravel() / np.sqrt(n)
+    Q = M @ P
+    shift = float(np.linalg.norm(Q))
     r = 0.0
-    for _ in range(POWER_ITERATION_CAP):
-        Q = M @ P
-        nq = float(np.linalg.norm(Q))
-        if nq == 0.0:
-            return 0.0  # nilpotent in one step (A identically zero)
+    for k in range(POWER_ITERATION_CAP):
+        if not Q.any():
+            # T^j (T + cI)^i (I) = 0, and (T + cI)^i (I) > 0, so T^j = 0
+            return 0.0
         r = float(Q @ P)
         if r > 0 and np.linalg.norm(Q - r * P) <= 0.05 * tol * r:
             return r
-        P = Q / nq
+        P = Q if k % 2 else Q + shift * P
+        P = P / np.linalg.norm(P)
+        Q = M @ P
     try:
         ev = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:

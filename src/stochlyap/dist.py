@@ -11,9 +11,10 @@ Reproducibility policy
 All sampling goes through ``numpy.random.Generator`` instances backed by
 the counter-based Philox bit generator (``philox-4x64-10``).  Streams are
 created with :func:`make_stream`; independent substreams for path or
-block ``i`` are derived with :func:`substream` as ``seed XOR i``.  Two
-distinct keys give statistically independent streams, and the same key
-reproduces the same stream on every platform.
+block ``i`` are derived with :func:`substream`, whose 128-bit Philox key
+is the pair ``(seed, i)``.  Distinct pairs give distinct keys, hence
+statistically independent streams, so runs with different seeds share no
+substream; the same key reproduces the same stream on every platform.
 """
 
 from __future__ import annotations
@@ -41,8 +42,13 @@ def make_stream(seed: int) -> np.random.Generator:
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    """Derive the independent substream ``seed XOR index``."""
-    return np.random.Generator(np.random.Philox(key=(seed ^ index) & _SEED_MASK))
+    """Derive the independent substream keyed by the pair ``(seed, index)``.
+
+    Both are taken modulo ``2^64``; ``substream(seed, 0)`` is
+    ``make_stream(seed)``.
+    """
+    key = ((index & _SEED_MASK) << 64) | (seed & _SEED_MASK)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,11 @@ import numpy as np
 from .dist import substream
 from .errors import DimensionMismatch, NonFiniteSample, NotPSD, StochLyapError, UnsupportedForm
 from .fileio import write_atomic
-from .sysmodel import AffineForm, PolyForm, SwitchedForm, SystemModel, coefficient_term_grids
+from .sysmodel import AffineForm, PolyForm, SwitchedForm, SystemModel
 
-#: Samples per Monte-Carlo block.  Block ``b`` draws from substream
-#: ``seed XOR b``, so any partition into whole blocks reproduces the
-#: serial result bit for bit.
+#: Samples per Monte-Carlo block.  Block ``b`` draws from
+#: ``substream(seed, b)``, so any partition into whole blocks reproduces
+#: the serial result bit for bit.
 MC_BLOCK = 8192
 
 _PSD_TOL = 1e-9
@@ -151,56 +151,65 @@ def operator_matrix(gram: np.ndarray, n: int) -> np.ndarray:
     return gram.reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n)
 
 
-def second_moment_analytic(model: SystemModel) -> SecondMomentData:
-    """Exact second-moment data via closed-form mixed moments.
+def _flat_to_mean(flat: np.ndarray, n: int, m: int) -> np.ndarray:
+    """``E[g]`` reshaped to the ``n x (n+m)`` matrix ``E[[A, B]]``."""
+    return np.hstack([flat[: n * n].reshape(n, n), flat[n * n:].reshape(n, m)])
 
+
+def _rows(a_mats, b_mats) -> np.ndarray:
+    """One row ``[row(A_k), row(B_k)]`` per coefficient pair (no ``B`` when ``m = 0``)."""
+    mats = [a_mats] + ([] if b_mats is None else [b_mats])
+    return np.hstack([np.stack(M).reshape(len(a_mats), -1) for M in mats])
+
+
+def _coefficient_basis(model: SystemModel):
+    """Write ``g(xi) = phi(xi)^T C`` and return ``(C, E[phi phi^T], E[phi])``.
+
+    ``C`` has one row per basis function: ``phi = [1, xi]`` for affine
+    forms, the distinct monomials of the entries for polynomial forms,
+    and the mode indicators for switched forms, whose moments are
+    ``diag(p)`` and ``p``.
+    """
+    if isinstance(model, SwitchedForm):
+        p = model.mode_probs
+        return _rows(model.a_modes, model.b_modes), np.diag(p), p
+    Z = model.Z
+    if isinstance(model, AffineForm):
+        alphas = [(0,) * Z] + [tuple(int(t == q) for t in range(Z)) for q in range(Z)]
+        C = _rows(model.a_mats, model.b_mats)
+    elif isinstance(model, PolyForm):
+        entries = [e for row in model.a_entries for e in row]
+        entries += [e for row in model.b_entries or () for e in row]
+        alphas = sorted({alpha for e in entries for _, alpha in e.terms})
+        row_of = {alpha: k for k, alpha in enumerate(alphas)}
+        C = np.zeros((len(alphas), len(entries)))
+        for u, e in enumerate(entries):
+            for coeff, alpha in e.terms:
+                C[row_of[alpha], u] = coeff
+    else:
+        raise UnsupportedForm(
+            f"no analytic moments for {type(model).__name__}; use second_moment_mc"
+        )
+    phi2 = np.array([[model.dist.moment(tuple(x + y for x, y in zip(a, b))) for b in alphas]
+                     for a in alphas]).reshape(len(alphas), len(alphas))
+    mu = np.array([model.dist.moment(a) for a in alphas])
+    return C, phi2, mu
+
+
+def second_moment_analytic(model: SystemModel) -> SecondMomentData:
+    """Exact second-moment data from the coefficient basis.
+
+    Every exact form is linear in a few basis functions,
+    ``g(xi) = phi(xi)^T C``, so ``G2 = C^T E[phi phi^T] C`` and
+    ``E[g] = C^T E[phi]`` need only the ``K x K`` moments of ``phi``.
     Supported for affine, switched and polynomial forms; sampled-data
     models have no closed-form moments here and must use
     :func:`second_moment_mc`.
     """
-    n, m, Z = model.n, model.m, model.Z
-    if isinstance(model, SwitchedForm):
-        probs = model.mode_probs
-        w = (n + m) * n
-        g2 = np.zeros((w, w))
-        mean = np.zeros((n, n + m))
-        for p, i in zip(probs, range(len(probs))):
-            A = model.a_modes[i]
-            AB = A if m == 0 else np.hstack([A, model.b_modes[i]])
-            g = np.concatenate([A.ravel()] + ([] if m == 0 else [model.b_modes[i].ravel()]))
-            g2 += p * np.outer(g, g)
-            mean += p * AB
-        g2 = (g2 + g2.T) / 2.0
-        return SecondMomentData(g2, mean, Analytic(), n, m, Z)
-
-    if isinstance(model, (AffineForm, PolyForm)):
-        a_grid, b_grid = coefficient_term_grids(model)
-        entries = [a_grid[i][j] for i in range(n) for j in range(n)]
-        if m:
-            entries += [b_grid[i][q] for i in range(n) for q in range(m)]
-        w = len(entries)
-        g2 = np.zeros((w, w))
-        for u in range(w):
-            for v in range(u, w):
-                s = 0.0
-                for cu, au in entries[u].terms:
-                    for cv, av in entries[v].terms:
-                        s += cu * cv * model.dist.moment(
-                            tuple(x + y for x, y in zip(au, av))
-                        )
-                g2[u, v] = g2[v, u] = s
-        means = np.array(
-            [sum(c * model.dist.moment(a) for c, a in e.terms) for e in entries]
-        )
-        mean = np.hstack(
-            [means[: n * n].reshape(n, n)]
-            + ([] if m == 0 else [means[n * n:].reshape(n, m)])
-        )
-        return SecondMomentData(g2, mean, Analytic(), n, m, Z)
-
-    raise UnsupportedForm(
-        f"no analytic moments for {type(model).__name__}; use second_moment_mc"
-    )
+    C, phi2, mu = _coefficient_basis(model)
+    g2 = C.T @ phi2 @ C  # symmetric only up to rounding, which can exceed the 1e-12 check
+    return SecondMomentData((g2 + g2.T) / 2.0, _flat_to_mean(C.T @ mu, model.n, model.m),
+                            Analytic(), model.n, model.m, model.Z)
 
 
 def _mc_block(model: SystemModel, seed: int, block: int, count: int):
@@ -222,8 +231,8 @@ def second_moment_mc(
     """Monte-Carlo estimate of the second-moment data.
 
     Draws are organized in fixed blocks of :data:`MC_BLOCK` samples;
-    block ``b`` uses the substream ``seed XOR b``, so the estimate does
-    not depend on ``threads``.
+    block ``b`` uses ``substream(seed, b)``, so the estimate does not
+    depend on ``threads`` and different seeds share no block.
 
     Parameters
     ----------
@@ -268,11 +277,7 @@ def second_moment_mc(
     g2 = (g2 + g2.T) / 2.0
     var = np.maximum(sq / samples - g2 * g2, 0.0)
     stderr = float(np.sqrt(var / samples).max())
-    mean_flat = gsum / samples
-    mean = np.hstack(
-        [mean_flat[: n * n].reshape(n, n)]
-        + ([] if m == 0 else [mean_flat[n * n:].reshape(n, m)])
-    )
+    mean = _flat_to_mean(gsum / samples, n, m)
     return SecondMomentData(g2, mean, MonteCarlo(samples, seed, stderr), n, m, model.Z)
 
 
@@ -299,36 +304,17 @@ def factorize(data: SecondMomentData) -> RearrangedFactors:
     return RearrangedFactors(gbar, gpa, gpb, n, m)
 
 
-def expected_quadratic(
-    data: SecondMomentData, P: np.ndarray, method: str = "contract"
-) -> np.ndarray:
+def expected_quadratic(data: SecondMomentData, P: np.ndarray) -> np.ndarray:
     """The map ``P -> E[A^T P A]`` evaluated on one symmetric ``P``.
 
-    Three equivalent routes exist; they must agree and the property
-    tests assert that they do.
-
-    * ``"contract"`` (default): direct contraction of the A-block of
-      ``g2`` against ``P``; no intermediate factor.
-    * ``"factored"``: ``GpA^T (P kron I) GpA`` using the stacked factor.
-    * ``"row-stacked"``: the ``n x n^3`` row-product matrix applied to
-      ``I kron row(P)^T``; needs no factorization.
+    A direct contraction of the A-block of ``g2`` against ``P``; no
+    intermediate factor.
     """
-    n, m = data.n, data.m
+    n = data.n
     P = np.asarray(P, dtype=float)
     if P.shape != (n, n):
         raise DimensionMismatch(f"P shape {P.shape}, expected ({n}, {n})")
-    if method == "contract":
-        G4 = data.a_block.reshape(n, n, n, n)
-        out = np.einsum("ik,ijkl->jl", P, G4)
-    elif method == "factored":
-        f = factorize(data)
-        out = f.gpa.T @ np.kron(P, np.eye((n + m) * n)) @ f.gpa
-    elif method == "row-stacked":
-        G4 = data.a_block.reshape(n, n, n, n)  # [q, j, r, i]
-        ae2 = G4.transpose(3, 1, 0, 2).reshape(n, n**3)
-        out = ae2 @ np.kron(np.eye(n), P.reshape(n * n, 1))
-    else:
-        raise StochLyapError(f"unknown method {method!r}")
+    out = np.einsum("ik,ijkl->jl", P, data.a_block.reshape(n, n, n, n))
     return (out + out.T) / 2.0
 
 

@@ -1,7 +1,7 @@
 """Monte-Carlo trajectory ensembles and empirical decay rates.
 
 Estimates ``sqrt(E[||x_k||^2])`` over seeded sample paths.  Path ``p``
-draws its entire parameter history from the substream ``seed XOR p``
+draws its entire parameter history from ``substream(seed, p)``
 (coordinate-major, see ``DistributionSpec.sample_block``), and paths are
 accumulated in fixed blocks of :data:`PATH_BLOCK` with pairwise
 summation inside each block and a fixed-order reduction across blocks.
@@ -100,7 +100,8 @@ def run_ensemble(
     n_paths : int
         Ensemble size.
     seed : int
-        Root seed; path ``p`` uses substream ``seed XOR p``.
+        Root seed; path ``p`` uses ``substream(seed, p)``, so runs with
+        different seeds share no path.
     F : array_like, optional
         State-feedback gain folded into the model before simulation.
     threads : int

@@ -460,39 +460,6 @@ def closed_loop(model: SystemModel, F):
     return model.closed_loop(F)
 
 
-def coefficient_term_grids(model: SystemModel):
-    """Polynomial term grids ``(a_grid, b_grid)`` for exact moment work.
-
-    Available for affine and polynomial forms; ``b_grid`` is None when
-    ``m = 0``.  Raises :class:`UnsupportedForm` otherwise.
-    """
-    if isinstance(model, PolyForm):
-        return model.a_entries, model.b_entries
-    if isinstance(model, AffineForm):
-        Z = model.Z
-
-        def lift(mats, cols):
-            grid = []
-            for i in range(model.n):
-                row = []
-                for j in range(cols):
-                    terms = []
-                    if mats[0][i, j] != 0.0:
-                        terms.append((mats[0][i, j], (0,) * Z))
-                    for q in range(Z):
-                        if mats[q + 1][i, j] != 0.0:
-                            alpha = tuple(1 if t == q else 0 for t in range(Z))
-                            terms.append((mats[q + 1][i, j], alpha))
-                    row.append(PolyEntry(tuple(terms)))
-                grid.append(tuple(row))
-            return tuple(grid)
-
-        a_grid = lift(model.a_mats, model.n)
-        b_grid = None if model.b_mats is None else lift(model.b_mats, model.m)
-        return a_grid, b_grid
-    raise UnsupportedForm(f"{type(model).__name__} has no polynomial entry grid")
-
-
 def model_from_obj(obj: dict) -> SystemModel:
     """Decode a model from its JSON object form."""
     form = obj.get("form")

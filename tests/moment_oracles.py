@@ -1,0 +1,86 @@
+"""Reference implementations that the tests compare the library against.
+
+None of these is used by the library itself:
+
+* :func:`second_moment_loop` is the entry-by-entry expansion of ``G2``,
+  one ``E[g_u g_v]`` at a time from the polynomial terms of the two
+  entries (switched forms: the weighted sum of mode outer products);
+* :func:`expected_quadratic_factored` and
+  :func:`expected_quadratic_row_stacked` evaluate ``P -> E[A^T P A]``
+  through the stacked factor and through the row-product matrix, two
+  routes independent of the library's contraction.
+"""
+
+import numpy as np
+
+from stochlyap.moments import factorize
+from stochlyap.sysmodel import AffineForm, PolyEntry, PolyForm, SwitchedForm
+
+
+def _affine_grid(model, mats, cols):
+    Z = model.Z
+    grid = []
+    for i in range(model.n):
+        row = []
+        for j in range(cols):
+            terms = [(mats[0][i, j], (0,) * Z)]
+            terms += [(mats[q + 1][i, j], tuple(int(t == q) for t in range(Z)))
+                      for q in range(Z)]
+            row.append(PolyEntry(tuple(terms)))
+        grid.append(row)
+    return grid
+
+
+def second_moment_loop(model):
+    """``(G2, E[[A, B]])`` of an affine, polynomial or switched model, entry by entry."""
+    n, m = model.n, model.m
+    if isinstance(model, SwitchedForm):
+        w = (n + m) * n
+        g2, mean = np.zeros((w, w)), np.zeros((n, n + m))
+        for i, p in enumerate(model.mode_probs):
+            AB = model.a_modes[i] if m == 0 else np.hstack([model.a_modes[i], model.b_modes[i]])
+            g = np.concatenate([model.a_modes[i].ravel()]
+                               + ([] if m == 0 else [model.b_modes[i].ravel()]))
+            g2 += p * np.outer(g, g)
+            mean += p * AB
+        return g2, mean
+    if isinstance(model, PolyForm):
+        a_grid, b_grid = model.a_entries, model.b_entries
+    elif isinstance(model, AffineForm):
+        a_grid = _affine_grid(model, model.a_mats, n)
+        b_grid = None if model.b_mats is None else _affine_grid(model, model.b_mats, m)
+    else:
+        raise TypeError(type(model).__name__)
+    entries = [e for row in a_grid for e in row]
+    if m:
+        entries += [e for row in b_grid for e in row]
+    w = len(entries)
+    g2 = np.zeros((w, w))
+    for u in range(w):
+        for v in range(u, w):
+            s = 0.0
+            for cu, au in entries[u].terms:
+                for cv, av in entries[v].terms:
+                    s += cu * cv * model.dist.moment(tuple(x + y for x, y in zip(au, av)))
+            g2[u, v] = g2[v, u] = s
+    means = np.array([sum(c * model.dist.moment(a) for c, a in e.terms) for e in entries])
+    mean = np.hstack([means[: n * n].reshape(n, n)]
+                     + ([] if m == 0 else [means[n * n:].reshape(n, m)]))
+    return g2, mean
+
+
+def expected_quadratic_factored(data, P):
+    """``GpA^T (P kron I) GpA`` with the stacked factor of ``g2``."""
+    n, m = data.n, data.m
+    f = factorize(data)
+    out = f.gpa.T @ np.kron(P, np.eye((n + m) * n)) @ f.gpa
+    return (out + out.T) / 2.0
+
+
+def expected_quadratic_row_stacked(data, P):
+    """The ``n x n^3`` row-product matrix applied to ``I kron row(P)^T``."""
+    n = data.n
+    G4 = data.a_block.reshape(n, n, n, n)  # [q, j, r, i]
+    ae2 = G4.transpose(3, 1, 0, 2).reshape(n, n**3)
+    out = ae2 @ np.kron(np.eye(n), P.reshape(n * n, 1))
+    return (out + out.T) / 2.0

@@ -45,6 +45,8 @@ from stochlyap.synthesis import (
 )
 from stochlyap.sysmodel import AffineForm, SwitchedForm
 
+from moment_oracles import expected_quadratic_factored, expected_quadratic_row_stacked
+
 PUBLISHED_GAIN = np.array([[2.9242, 4.9123, -10.0501]])
 
 
@@ -206,9 +208,9 @@ class TestCriterion6:
             data = second_moment_analytic(random_poly_system(rng))
             P = rng.normal(size=(3, 3))
             P = P + P.T
-            r1 = expected_quadratic(data, P, "factored")
-            r2 = expected_quadratic(data, P, "row-stacked")
-            r3 = expected_quadratic(data, P, "contract")
+            r1 = expected_quadratic_factored(data, P)
+            r2 = expected_quadratic_row_stacked(data, P)
+            r3 = expected_quadratic(data, P)
             bound = 1e-9 * (1.0 + np.linalg.norm(P))
             assert np.abs(r1 - r3).max() <= bound, f"trial {trial}"
             assert np.abs(r2 - r3).max() <= bound, f"trial {trial}"

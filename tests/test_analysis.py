@@ -10,6 +10,7 @@ from stochlyap.analysis import (
     minimal_lambda,
     operator_from_pairs,
     special_case_lmi,
+    spectral_radius,
     stability_report,
 )
 from stochlyap.demo_models import example1_model
@@ -32,6 +33,28 @@ def scalar_noise(sig):
 def switched_scalar():
     dist = DistributionSpec((Discrete((1.0, 2.0), (0.5, 0.5)),))
     return SwitchedForm((np.array([[2.0]]), np.array([[0.0]])), dist)
+
+
+def no_dense_eigvals(*args, **kwargs):
+    raise AssertionError("dense eigensolver called")
+
+
+def block_cyclic(period, rng, block=2, modes=3):
+    """Switched model whose every mode maps state block ``b`` into block ``b + 1``.
+
+    ``T`` then has ``rho`` times each ``period``-th root of unity as
+    eigenvalues (``+-rho`` for the bipartite case ``period = 2``).
+    """
+    N = period * block
+    As = []
+    for _ in range(modes):
+        A = np.zeros((N, N))
+        for b in range(period):
+            c = (b + 1) % period
+            A[c * block: (c + 1) * block, b * block: (b + 1) * block] = rng.normal(size=(block, block))
+        As.append(A)
+    p = (0.2, 0.3, 0.5)[:modes]
+    return SwitchedForm(tuple(As), DistributionSpec((Discrete(tuple(range(1, modes + 1)), p),)))
 
 
 class TestBuildOperator:
@@ -108,6 +131,23 @@ class TestMinimalLambda:
     def test_scalar_sigma_sweep(self, sig):
         op = build_operator(second_moment_analytic(scalar_noise(sig)))
         assert abs(minimal_lambda(op, 1e-12) - sig) < 1e-10
+
+    @pytest.mark.parametrize("period", [2, 3])
+    def test_cyclic_switching_needs_no_dense_fallback(self, period, monkeypatch):
+        op = build_operator(second_moment_analytic(block_cyclic(period, np.random.default_rng(period))))
+        ev = np.linalg.eigvals(op.matrix)
+        rho = float(np.abs(ev).max())
+        # rho is not the only eigenvalue of largest modulus
+        assert np.sum(np.abs(np.abs(ev) - rho) <= 1e-9 * rho) >= period
+        monkeypatch.setattr(np.linalg, "eigvals", no_dense_eigvals)
+        assert spectral_radius(op, 1e-10) == pytest.approx(rho, rel=1e-9)
+
+    def test_nilpotent_stops_exactly(self, monkeypatch):
+        # strictly upper triangular A: T^4 = 0, reached in a few steps
+        A = np.triu(np.random.default_rng(8).normal(size=(4, 4)), 1)
+        op = build_operator(second_moment_analytic(deterministic(A)))
+        monkeypatch.setattr(np.linalg, "eigvals", no_dense_eigvals)
+        assert spectral_radius(op, 1e-9) == 0.0
 
     def test_zero_system(self):
         op = build_operator(second_moment_analytic(deterministic(np.zeros((2, 2)))))

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from stochlyap.demo_models import example1_model
-from stochlyap.dist import Constant, Discrete, DistributionSpec, Normal, Uniform
+from stochlyap.dist import Constant, Discrete, DistributionSpec, Exponential, Normal, Uniform
 from stochlyap.errors import NonFiniteSample, NotPSD, StochLyapError, UnsupportedForm
 from stochlyap.moments import (
+    MC_BLOCK,
     Analytic,
     MonteCarlo,
     SecondMomentData,
@@ -20,7 +21,13 @@ from stochlyap.moments import (
     second_moment_analytic,
     second_moment_mc,
 )
-from stochlyap.sysmodel import AffineForm, SwitchedForm
+from stochlyap.sysmodel import AffineForm, PolyEntry, PolyForm, SwitchedForm
+
+from moment_oracles import (
+    expected_quadratic_factored,
+    expected_quadratic_row_stacked,
+    second_moment_loop,
+)
 
 
 def scalar_noise_model(sig=0.5):
@@ -33,6 +40,37 @@ def switched_pair(a1=2.0, a2=0.0, p=0.5, with_input=False):
     dist = DistributionSpec((Discrete((1.0, 2.0), (p, 1.0 - p)),))
     b = (np.array([[1.0]]), np.array([[-0.5]])) if with_input else None
     return SwitchedForm((np.array([[a1]]), np.array([[a2]])), dist, b)
+
+
+_COORDS = (Normal(0.3, 0.7), Uniform(-0.4, 1.1), Exponential(2.5),
+           Discrete((-1.0, 0.5, 2.0), (0.2, 0.5, 0.3)))
+
+
+def random_model(form, m, rng):
+    """A random affine, polynomial or switched model with ``m`` inputs."""
+    n = int(rng.integers(1, 5))
+    if form == "switched":
+        S = int(rng.integers(1, 5))
+        p = rng.dirichlet(np.ones(S))
+        p[-1] = 1.0 - p[:-1].sum()
+        dist = DistributionSpec((Discrete(tuple(range(1, S + 1)), tuple(p)),))
+        b = None if m == 0 else tuple(rng.normal(size=(n, m)) for _ in range(S))
+        return SwitchedForm(tuple(rng.normal(size=(n, n)) for _ in range(S)), dist, b)
+    Z = int(rng.integers(1, 4))
+    dist = DistributionSpec(tuple(_COORDS[i] for i in rng.choice(len(_COORDS), Z)))
+    if form == "affine":
+        b = None if m == 0 else tuple(rng.normal(size=(n, m)) for _ in range(Z + 1))
+        return AffineForm(tuple(rng.normal(size=(n, n)) for _ in range(Z + 1)), dist, b)
+    monomials = [a for a in np.ndindex(*(3,) * Z) if sum(a) <= 2]
+
+    def entry():
+        # a random subset of the monomials, sometimes none (a zero entry)
+        keep = rng.random(len(monomials)) < 0.5
+        return PolyEntry(tuple((rng.normal(), a) for a, k in zip(monomials, keep) if k))
+
+    a = tuple(tuple(entry() for _ in range(n)) for _ in range(n))
+    b = None if m == 0 else tuple(tuple(entry() for _ in range(m)) for _ in range(n))
+    return PolyForm(a, dist, b)
 
 
 class TestAnalytic:
@@ -69,6 +107,18 @@ class TestAnalytic:
 
         with pytest.raises(UnsupportedForm):
             second_moment_analytic(example2_model())
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("form", ["affine", "poly", "switched"])
+    def test_coefficient_basis_matches_entry_loop(self, form, m):
+        rng = np.random.default_rng([ord(form[0]), m])
+        for _ in range(10):
+            model = random_model(form, m, rng)
+            data = second_moment_analytic(model)
+            g2, mean = second_moment_loop(model)
+            assert data.g2.shape == g2.shape and data.mean.shape == mean.shape
+            assert np.abs(data.g2 - g2).max() <= 1e-12 * max(np.abs(g2).max(), 1.0)
+            assert np.abs(data.mean - mean).max() <= 1e-12 * max(np.abs(mean).max(), 1.0)
 
     def test_synthesis_blocks_against_sampling(self):
         model = switched_pair(with_input=True)
@@ -112,6 +162,13 @@ class TestMonteCarlo:
         b = second_moment_mc(model, 30_000, seed=2, threads=4)
         assert np.array_equal(a.g2, b.g2)
         assert np.array_equal(a.mean, b.mean)
+
+    def test_neighbouring_seeds_differ(self):
+        # two whole blocks each: keyed by seed XOR block, seeds 0 and 1 would
+        # draw the same two blocks and agree to rounding
+        a = second_moment_mc(example1_model(), 2 * MC_BLOCK, seed=0)
+        b = second_moment_mc(example1_model(), 2 * MC_BLOCK, seed=1)
+        assert np.abs(a.g2 - b.g2).max() > 0.1 * a.method.max_entry_stderr
 
     def test_minimum_samples(self):
         with pytest.raises(StochLyapError):
@@ -211,9 +268,9 @@ class TestExpectedQuadratic:
         for _ in range(50):
             P = rng.normal(size=(3, 3))
             P = P + P.T
-            r1 = expected_quadratic(data, P, "factored")
-            r2 = expected_quadratic(data, P, "row-stacked")
-            r3 = expected_quadratic(data, P, "contract")
+            r1 = expected_quadratic_factored(data, P)
+            r2 = expected_quadratic_row_stacked(data, P)
+            r3 = expected_quadratic(data, P)
             bound = 1e-9 * (1.0 + np.linalg.norm(P))
             assert np.abs(r1 - r3).max() <= bound
             assert np.abs(r2 - r3).max() <= bound

@@ -52,6 +52,13 @@ class TestRunEnsemble:
         b = run_ensemble(example1_model(), [1.0, 0, 0], 30, 5000, seed=9)
         assert np.array_equal(a.rms, b.rms)
 
+    def test_neighbouring_seeds_differ(self):
+        # keyed by seed XOR path, path p of seed 0 was path p XOR 1 of seed 1,
+        # and the two RMS curves agreed to rounding
+        a = run_ensemble(example1_model(), [1.0, 0, 0], 30, 2000, seed=0)
+        b = run_ensemble(example1_model(), [1.0, 0, 0], 30, 2000, seed=1)
+        assert np.abs(a.rms - b.rms).max() > 1e-3
+
     def test_partition_invariance(self):
         for n_paths in (2048, 2500):  # multiple and non-multiple of the block
             serial = run_ensemble(example1_model(), [1, 0, 0], 25, n_paths, seed=4)
