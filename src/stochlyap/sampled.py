@@ -67,32 +67,21 @@ def _augmented(plant: ContinuousPlant) -> np.ndarray:
     return aug
 
 
-def discretize(plant: ContinuousPlant, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-order-hold discretization for one sampling interval.
+def discretize_batch(plant: ContinuousPlant, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-order-hold discretization over an array of sampling intervals.
 
     Parameters
     ----------
     plant : ContinuousPlant
-    h : float
-        Sampling interval, must be positive and finite.
+    h : array_like
+        Sampling intervals, each positive and finite.
 
     Returns
     -------
     (A_op, B_op) : tuple of numpy.ndarray
-        ``n x n`` state propagator and ``n x m`` held-input matrix.
-    """
-    if not (h > 0 and np.isfinite(h)):
-        raise StochLyapError(f"sampling interval must be positive and finite, got {h}")
-    n = plant.n
-    E = expm(_augmented(plant) * h)
-    return E[:n, :n], E[:n, n:]
-
-
-def discretize_batch(plant: ContinuousPlant, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`discretize` over an array of intervals.
-
-    Returns stacked arrays of shape ``(len(h), n, n)`` and ``(len(h), n, m)``.
-    Each slice equals the scalar result for the same interval.
+        Stacked ``(len(h), n, n)`` state propagators and ``(len(h), n, m)``
+        held-input matrices.  Each slice equals the result for a batch of
+        its interval alone.
     """
     h = np.asarray(h, dtype=float)
     if not ((h > 0).all() and np.isfinite(h).all()):
@@ -100,6 +89,12 @@ def discretize_batch(plant: ContinuousPlant, h: np.ndarray) -> tuple[np.ndarray,
     n = plant.n
     E = expm(_augmented(plant)[None, :, :] * h[:, None, None])
     return E[:, :n, :n], E[:, :n, n:]
+
+
+def discretize(plant: ContinuousPlant, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`discretize_batch` for one sampling interval ``h``: ``(A_op, B_op)``."""
+    A_op, B_op = discretize_batch(plant, np.array([h], dtype=float))
+    return A_op[0], B_op[0]
 
 
 def intersample_trajectory(

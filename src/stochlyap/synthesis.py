@@ -12,16 +12,26 @@ is positive definite for some symmetric ``X`` and some ``Y``; then
 ``(X, Y)``, so feasibility is scale-free and any strictly positive
 definite point can be rescaled to a requested margin.
 
-The reference solver alternates projections between the margin-shifted
-PSD cone and the variable subspace (Dykstra correction on the cone).
-Because the feasible cone can meet the subspace at a very shallow angle,
-the iteration is seeded with candidate points built from the spectral
-analysis machinery: candidate gains are scored by the exact closed-loop
-decay rate, and any gain strictly beating the target rate yields an
-exactly feasible point via the Lyapunov linear solve.  Seeds that
-already satisfy the inequality end the iteration immediately; otherwise
-Dykstra runs from the best seed up to the iteration cap and declares
-infeasibility on stall.
+The reference backend decides strict feasibility with a primal-dual
+interior-point method (Vandenberghe & Boyd, *Semidefinite Programming*,
+SIAM Rev. 38, 1996) on the normalized problem
+
+    max t   s.t.   M(v) - t I >= 0,   tr X(v) = 1,
+
+whose dual is ``min mu  s.t.  W >= 0, tr W = 1, tr(W S_a) = mu c_a``
+(``S_a`` the coefficient blocks of ``M``, ``c_a = 1`` on the diagonal
+entries of ``X``).  Its Mehrotra predictor-corrector steps follow the
+central path ``W F = I / tau`` with ``F = M(v) - t I``, where
+``mu = t + D / tau`` (``D`` the block size).  It starts cold from
+``X = I/n, Y = 0`` and the dual point ``W = I/D``, needs no seed, and
+stops at the first iterate that is strictly feasible, or with a dual
+certificate ``(W, mu)`` once ``mu < 0``: for any ``v`` with
+``M(v) > 0`` we would have ``0 < tr(W M(v)) = mu tr X(v) < 0``.  A probe
+whose duality gap closes below ``1e-11`` of ``||M||`` with the sign
+undecided lies on the boundary, where no point passes the strict test;
+it counts as infeasible and keeps its ``(W, mu)``.
+:func:`check_infeasibility` re-checks a certificate against the entry
+list.
 """
 
 from __future__ import annotations
@@ -29,8 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .errors import (
     AnalysisOnlyModel,
@@ -50,14 +58,17 @@ from .moments import (
 from .analysis import StabilityReport, stability_report
 from .sysmodel import SystemModel
 
-#: Dykstra iteration cap for the reference backend.
-ITERATION_CAP = 50_000
-
-_STALL_WINDOW = 600
-_STALL_FACTOR = 0.95
-# strict-PD acceptance for subspace iterates: far above the ~1e-15 noise
+# strict-PD acceptance for iterates, and the relative duality gap at which a
+# probe with no decided sign counts as infeasible: far above the ~1e-15 noise
 # floor of eigvalsh yet permissive enough for thin feasibility margins
 _PD_REL = 1e-11
+# Newton steps of the interior-point backend: Example 2's probes take 3-21 and
+# random LMIs with n <= 4 at most 25, so running out means the method failed
+_NEWTON_CAP = 100
+# each step goes this fraction of the way to the boundary of the PSD cone
+_TO_BOUNDARY = 0.95
+#: Tolerance of :func:`check_infeasibility`, relative to ``max_a ||S_a||_F``.
+CERT_TOL = 1e-8
 
 
 def default_margin(data: SecondMomentData) -> float:
@@ -177,24 +188,28 @@ def assemble(factors: RearrangedFactors, lam: float, margin: float) -> LmiProble
     return LmiProblem(basis, D, a0 + m * n, float(margin), float(lam), n, m, factors)
 
 
-def _dense_basis(problem: LmiProblem) -> np.ndarray:
-    """The ``dim^2 x num_vars`` matrix whose column ``a`` is ``vec(S_a)``.
-
-    Built from :meth:`LmiProblem.assemble_at` on unit vectors; only the
-    dense reference backend uses it, on problems small enough for it.
-    """
-    return np.array([problem.assemble_at(e).ravel() for e in np.eye(problem.num_vars)]).T
+def _trace_coefficients(problem: LmiProblem) -> np.ndarray:
+    """``c`` with ``c . v = tr X(v)``: one on the diagonal entries of ``X``."""
+    c = np.zeros(problem.num_vars)
+    c[[k for k, (i, j) in enumerate(_x_index_pairs(problem.n)) if i == j]] = 1.0
+    return c
 
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityResult:
-    """Outcome of one feasibility solve."""
+    """Outcome of one feasibility solve.
+
+    An ``infeasible`` result of the reference backend carries the dual
+    certificate ``(W, mu)`` that :func:`check_infeasibility` accepts.
+    """
 
     status: str  # "feasible" | "infeasible" | "exported"
     X: np.ndarray | None
     Y: np.ndarray | None
     iterations: int
     backend: str
+    W: np.ndarray | None = None
+    mu: float | None = None
 
     @property
     def feasible(self) -> bool:
@@ -212,100 +227,21 @@ def closed_loop_rate(factors: RearrangedFactors, F: np.ndarray) -> float:
     F = np.atleast_2d(np.asarray(F, float))
     if F.shape != (m, n):
         raise DimensionMismatch(f"gain shape {F.shape} != ({m}, {n})")
-    M = _closed_loop_operator(factors, F)
+    H = (factors.gpa + factors.gpb @ F).reshape(n, (n + m) * n, n)
+    M = operator_matrix(np.einsum("iwj,kwl->ijkl", H, H), n)
     return float(np.sqrt(np.abs(np.linalg.eigvals(M)).max()))
 
 
-def _closed_loop_operator(factors: RearrangedFactors, F: np.ndarray) -> np.ndarray:
-    """Moment operator matrix of the closed loop ``A + B F``."""
-    n, m = factors.n, factors.m
-    H = (factors.gpa + factors.gpb @ F).reshape(n, (n + m) * n, n)
-    return operator_matrix(np.einsum("iwj,kwl->ijkl", H, H), n)
+def candidate_gains(data: SecondMomentData) -> list[np.ndarray]:
+    """The zero gain and the factor least-squares gain ``-GpB^+ GpA``.
 
-
-def _certificate_point(factors: RearrangedFactors, F: np.ndarray, lam: float):
-    """Exact feasible ``(X, Y)`` from a gain whose closed-loop rate beats ``lam``.
-
-    Solves ``lam^2 P - E[A_cl^T P A_cl] = I`` for the closed loop and
-    returns ``X = P^{-1}``, ``Y = F X``; None when the solve fails or
-    yields a non-PD ``P``.
-    """
-    n = factors.n
-    F = np.atleast_2d(np.asarray(F, float))
-    M = _closed_loop_operator(factors, F)
-    try:
-        vec = np.linalg.solve(lam**2 * np.eye(n * n) - M, np.eye(n).ravel())
-    except np.linalg.LinAlgError:
-        return None
-    P = vec.reshape(n, n)
-    P = (P + P.T) / 2.0
-    if np.linalg.eigvalsh(P)[0] <= 0:
-        return None
-    X = np.linalg.inv(P)
-    X = (X + X.T) / 2.0
-    return join_vars(X, F @ X)
-
-
-def candidate_gains(data: SecondMomentData, refine: bool = True) -> list[np.ndarray]:
-    """Candidate gains for seeding the feasibility solver.
-
-    Includes the zero gain, the factor least-squares gain (minimizer of
-    the mean squared closed-loop coefficient norm), a Riccati gain for
-    the mean system when it exists, and optionally a direct numerical
-    minimizer of the exact closed-loop rate.
+    The least-squares gain minimizes the mean squared closed-loop
+    coefficient norm.  Synthesis needs no seed gains; these closed-form
+    guesses stay under this name because the benchmark's tracer binds it.
     """
     factors = factorize(data)
-    n, m = data.n, data.m
-    cands = [np.zeros((m, n))]
-    f_lsq = -np.linalg.lstsq(factors.gpb, factors.gpa, rcond=None)[0]
-    cands.append(f_lsq)
-    try:
-        S = scipy.linalg.solve_discrete_are(
-            data.mean_a, data.mean_b, np.eye(n), np.eye(m)
-        )
-        BtSB = data.mean_b.T @ S @ data.mean_b
-        cands.append(-np.linalg.solve(np.eye(m) + BtSB, data.mean_b.T @ S @ data.mean_a))
-    except Exception:
-        pass
-    if refine:
-        best = min(cands, key=lambda F: closed_loop_rate(factors, F))
-        res = scipy.optimize.minimize(
-            lambda f: closed_loop_rate(factors, f.reshape(m, n)),
-            best.ravel(),
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 800 * m * n,
-                     "maxfev": 800 * m * n},
-        )
-        res = scipy.optimize.minimize(
-            lambda f: closed_loop_rate(factors, f.reshape(m, n)),
-            res.x,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 800 * m * n,
-                     "maxfev": 800 * m * n},
-        )
-        cands.insert(0, res.x.reshape(m, n))
-    return cands
-
-
-def _seed_points(problem: LmiProblem, warm_start, seed_gains, Bmat):
-    """Candidate start points; the default seeds need the dense basis ``Bmat``."""
-    n, m = problem.n, problem.m
-    seeds = []
-    if warm_start is not None:
-        seeds.append(np.asarray(warm_start, float))
-    if Bmat is not None:
-        seeds.append(join_vars(np.eye(n), np.zeros((m, n))))
-        # least-squares fit of the identity within the subspace
-        v_ls = np.linalg.lstsq(Bmat, np.eye(problem.dim).ravel(), rcond=None)[0]
-        seeds.append(v_ls)
-    for F in seed_gains:
-        if closed_loop_rate(problem.factors, F) < problem.lam * (1.0 - 1e-12):
-            v = _certificate_point(problem.factors, F, problem.lam)
-            if v is not None:
-                seeds.append(v)
-    if not seeds:
-        seeds.append(join_vars(np.eye(n), np.zeros((m, n))))
-    return seeds
+    return [np.zeros((data.m, data.n)),
+            -np.linalg.lstsq(factors.gpb, factors.gpa, rcond=None)[0]]
 
 
 def _rescaled_if_pd(problem: LmiProblem, v: np.ndarray):
@@ -321,103 +257,144 @@ def _rescaled_if_pd(problem: LmiProblem, v: np.ndarray):
     return v * c
 
 
-def _solve_reference(problem: LmiProblem, warm_start, seed_gains, cap: int,
-                     default_seeds: bool = True):
-    Bmat = _dense_basis(problem) if default_seeds else None
-    seeds = _seed_points(problem, warm_start, seed_gains, Bmat)
-    scored = []
-    for v in seeds:
-        out = _rescaled_if_pd(problem, v)
-        if out is not None:
-            return FeasibilityResult("feasible", *split_vars(out, problem.n, problem.m), 0, "ref")
-        Mv = problem.assemble_at(v)
-        nv = float(np.linalg.norm(Mv))
-        scored.append((-(np.linalg.eigvalsh(Mv)[0] / nv) if nv > 0 else np.inf, v))
-    start = min(scored, key=lambda t: t[0])[1]
+def _max_step(e: np.ndarray, U: np.ndarray, dP: np.ndarray) -> float:
+    """Step along ``dP`` from the PD matrix ``U diag(e) U^T``: capped at 1, short of its boundary."""
+    Pm = U / np.sqrt(e)
+    s = float(np.linalg.eigvalsh(Pm.T @ dP @ Pm)[0])
+    return 1.0 if s >= -_TO_BOUNDARY else -_TO_BOUNDARY / s
 
-    # Dykstra alternating projections: correction on the cone only,
-    # plain projection on the (linear) variable subspace.  An SVD basis
-    # keeps the projection correct when basis blocks are dependent
-    # (e.g. zero input columns).
-    if Bmat is None:
-        Bmat = _dense_basis(problem)
-    U_b, s_b, _ = np.linalg.svd(Bmat, full_matrices=False)
-    Q = U_b[:, s_b > 1e-12 * (s_b[0] if s_b.size else 1.0)]
-    pinv = np.linalg.pinv(Bmat)
-    D = problem.dim
-    y = problem.assemble_at(start).ravel()
-    p = np.zeros_like(y)
-    best_gap = np.inf
-    since_improve = 0
-    for it in range(1, cap + 1):
-        wvec = y + p
-        W = wvec.reshape(D, D)
-        W = (W + W.T) / 2.0
-        ew, U = np.linalg.eigh(W)
-        z = ((U * np.maximum(ew, problem.margin)) @ U.T).ravel()
-        p = wvec - z
-        y = Q @ (Q.T @ z)
-        if it % 10 == 0 or it == 1:
-            v = pinv @ y
-            out = _rescaled_if_pd(problem, v)
+
+def _solve_reference(problem: LmiProblem) -> FeasibilityResult:
+    """Mehrotra predictor-corrector on the central path ``W F = nu I`` (HKM direction).
+
+    ``x = (v, t)`` and ``F = M(v) - t I``; the last coefficient block is
+    ``-I`` for ``t``.  Both starting points are feasible, and the
+    corrected Newton system keeps the equalities while ``W, F > 0``.
+    """
+    n, m, N, D = problem.n, problem.m, problem.num_vars + 1, problem.dim
+    b = problem.basis
+    S = np.zeros((N, D, D))
+    S[b["var"], b["row"], b["col"]] = b["val"]
+    S[b["var"], b["col"], b["row"]] = b["val"]
+    S[-1] = -np.eye(D)
+    S_flat = S.reshape(N, D * D)
+    c = np.append(_trace_coefficients(problem), 0.0)
+    x = c / n
+    M = (x @ S_flat).reshape(D, D)
+    x[-1] = np.linalg.eigvalsh(M)[0] - np.linalg.norm(M) / np.sqrt(D)
+    # W = I/D is dual feasible: tr S_a is lam^2 + w on the diagonal of X, else 0
+    W = np.eye(D) / D
+    mu = (problem.lam**2 + (n + m) * n) / D
+    K = np.zeros((N + 1, N + 1))
+    K[:N, N] = K[N, :N] = c
+    for it in range(_NEWTON_CAP + 1):
+        F = (x @ S_flat).reshape(D, D)
+        if x[-1] > 0:
+            out = _rescaled_if_pd(problem, x[:-1])
             if out is not None:
-                return FeasibilityResult(
-                    "feasible", *split_vars(out, problem.n, problem.m), it, "ref"
-                )
-            gap = float(np.linalg.norm(z - y)) / (1.0 + float(np.linalg.norm(z)))
-            if gap < best_gap * _STALL_FACTOR:
-                best_gap = gap
-                since_improve = 0
-            else:
-                since_improve += 10
-                if since_improve >= _STALL_WINDOW:
-                    return FeasibilityResult("infeasible", None, None, it, "ref")
-    return FeasibilityResult("infeasible", None, None, cap, "ref")
+                return FeasibilityResult("feasible", *split_vars(out, n, m), it, "ref")
+        gap = float(np.sum(W * F))  # mu - t on the feasible sets
+        if mu < 0 or gap <= _PD_REL * float(np.linalg.norm(F + x[-1] * np.eye(D))):
+            tr = float(np.trace(W))
+            return FeasibilityResult("infeasible", None, None, it, "ref", W / tr, mu / tr)
+        e, U = np.linalg.eigh(F)
+        ew, Uw = np.linalg.eigh(W)
+        if it == _NEWTON_CAP or e[0] <= 0 or ew[0] <= 0:
+            raise BackendFailure(f"interior point stalled after {it} steps at gap {gap:.3g}")
+        R = (U / e) @ U.T
+        K[:N, :N] = (W @ S @ R).reshape(N, -1) @ S_flat.T
+        d = np.sqrt(np.abs(np.diag(K)))  # equilibration; zero rows are absent variables
+        d[d == 0.0] = 1.0
+        K_eq = K / np.outer(d, d)
+        rhs0 = np.append(-mu * c, 1.0 - c @ x)
+        rhs0[N - 1] = 1.0  # the t row, where c is 0
+        trRS = S_flat @ R.ravel()
+
+        def direction(target, corr):
+            rhs = rhs0.copy()
+            rhs[:N] += target * trRS - S_flat @ corr.ravel()
+            sol = np.linalg.lstsq(K_eq, rhs / d, rcond=None)[0] / d
+            dF = (sol[:N] @ S_flat).reshape(D, D)
+            T = W @ dF @ R + corr
+            return sol[:N], sol[N], dF, target * R - W - (T + T.T) / 2.0
+
+        dx, dmu, dF, dW = direction(0.0, np.zeros((D, D)))
+        ap, ad = _max_step(e, U, dF), _max_step(ew, Uw, dW)
+        sigma = min(1.0, (float(np.sum((W + ad * dW) * (F + ap * dF))) / gap) ** 3)
+        dx, dmu, dF, dW = direction(sigma * gap / D, dW @ dF @ R)
+        ap, ad = _max_step(e, U, dF), _max_step(ew, Uw, dW)
+        x = x + ap * dx
+        W = W + ad * dW
+        W = (W + W.T) / 2.0
+        mu += ad * dmu
+
+
+def check_infeasibility(problem: LmiProblem, W: np.ndarray, mu: float,
+                        tol: float = CERT_TOL) -> bool:
+    """Whether ``(W, mu)`` proves that ``M(v) > 0`` has no solution.
+
+    Checks ``W = W^T >= 0``, ``tr W = 1``, ``tr(W S_a) = mu c_a`` for
+    every variable and ``mu <= 0``; the last two within
+    ``tol * max_a ||S_a||_F``, the others within ``tol``.  The traces are
+    read straight from the entry list ``problem.basis``.
+    """
+    W = np.asarray(W, dtype=float)
+    D = problem.dim
+    if W.shape != (D, D) or not np.isfinite(W).all() or not np.isfinite(mu):
+        return False
+    b = problem.basis
+    off = b["row"] != b["col"]
+    # tr(W S_a): each upper-triangle entry stands for itself and its mirror
+    w_entries = W[b["row"], b["col"]] + np.where(off, W[b["col"], b["row"]], 0.0)
+    traces = np.bincount(b["var"], weights=b["val"] * w_entries, minlength=problem.num_vars)
+    norms = np.bincount(b["var"], weights=b["val"] ** 2 * (1.0 + off),
+                        minlength=problem.num_vars)
+    scale = tol * float(np.sqrt(norms.max()))
+    return bool(
+        np.abs(W - W.T).max() <= tol
+        and np.linalg.eigvalsh(W)[0] >= -tol
+        and abs(np.trace(W) - 1.0) <= tol
+        and mu <= scale
+        and np.abs(traces - mu * _trace_coefficients(problem)).max() <= scale
+    )
 
 
 def solve_feasibility(
     problem: LmiProblem,
     backend: str = "ref",
-    warm_start: np.ndarray | None = None,
-    seed_gains=None,
-    iteration_cap: int = ITERATION_CAP,
-    default_seeds: bool = True,
 ) -> FeasibilityResult:
-    """Find ``(X, Y)`` with ``M(X, Y) >= margin/2 * I``, or declare infeasibility.
+    """Find ``(X, Y)`` with ``M(X, Y) >= margin/2 * I``, or prove there is none.
 
     Parameters
     ----------
     problem : LmiProblem
     backend : str
-        ``"ref"`` runs the seeded Dykstra iteration described in the
-        module docstring.  ``"sdpa-export:<path>"`` writes the problem
-        in SDPA sparse format to ``<path>`` and returns an ``"exported"``
-        result; ``"sdpa-export:<path>:<solution>"`` additionally parses
-        an externally produced solution file and validates it.
-    warm_start : array_like, optional
-        Variable vector used as an extra seed (e.g. from a neighbouring
-        rate during bisection).
-    seed_gains : sequence of arrays, optional
-        Candidate gains scored by exact closed-loop rate; any gain that
-        beats the target rate yields an immediately feasible point.
-        Defaults to the zero and factor least-squares gains.
-    iteration_cap : int
-        Dykstra iteration budget for the reference backend.
-    default_seeds : bool
-        Include the identity and least-squares-identity seeds; disable
-        to exercise the bare projection iteration.
+        ``"ref"`` runs the interior-point method described in the module
+        docstring from a cold start, with no seed points or gains.
+        ``"sdpa-export:<path>"`` writes the problem in SDPA sparse format
+        to ``<path>`` and returns an ``"exported"`` result;
+        ``"sdpa-export:<path>:<solution>"`` additionally parses an
+        externally produced solution file and validates it.
 
     Returns
     -------
     FeasibilityResult
         ``feasible`` results satisfy ``min-eig M(X, Y) >= margin/2`` and
-        ``X >= margin/2 * I``; ``infeasible`` carries no certificate.
+        ``X >= margin/2 * I``.  ``infeasible`` results carry the dual
+        certificate ``(W, mu)``: ``W >= 0``, ``tr W = 1`` and
+        ``tr(W S_a) = mu c_a``, with ``mu < 0``, or with the duality gap
+        below ``1e-11`` of ``||M||`` when the sign is undecided (a probe
+        on the boundary, where no point passes the strict test).
+        ``iterations`` counts Newton steps.
+
+    Raises
+    ------
+    BackendFailure
+        Unknown backend, a rejected imported solution, or an interior
+        point that stalls.
     """
     if backend == "ref":
-        if seed_gains is None:
-            f_lsq = -np.linalg.lstsq(problem.factors.gpb, problem.factors.gpa, rcond=None)[0]
-            seed_gains = [np.zeros((problem.m, problem.n)), f_lsq]
-        return _solve_reference(problem, warm_start, seed_gains, iteration_cap, default_seeds)
+        return _solve_reference(problem)
     if backend.startswith("sdpa-export:"):
         from . import sdpa
 
@@ -518,17 +495,11 @@ def synthesize_min_lambda(
         margin = default_margin(data)
 
     factors = factorize(data)
-    gains = candidate_gains(data)
     trace = []
-    warm = None
 
     def probe(lam):
-        nonlocal warm
-        problem = assemble(factors, lam, margin)
-        res = solve_feasibility(problem, backend, warm_start=warm, seed_gains=gains)
+        res = solve_feasibility(assemble(factors, lam, margin), backend)
         trace.append((lam, res.feasible, res.iterations))
-        if res.feasible:
-            warm = join_vars(res.X, res.Y)
         return res
 
     res_hi = probe(1.0)

@@ -5,7 +5,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from stochlyap import cli, demo_models, sampled
+from stochlyap.dist import substream
 
 RUN = [sys.executable, "-m", "stochlyap.cli"]
 
@@ -227,6 +231,27 @@ class TestReproCommands:
         assert 0.88 <= obj["achieved_lambda"] <= 0.96
         assert obj["intersample"]["paths"] == 10
         assert obj["intersample"]["max_final_ratio"] < 1.0
+
+    def test_final_state_matches_scalar_steps(self):
+        # reference: one scalar ZOH discretization per sampling interval
+        def scalar_final_state(model, F, seed, path, horizon):
+            rng = substream(seed, path)
+            x, t = np.array([1.0, 0.0, 0.0]), 0.0
+            while True:
+                xi = model.dist.sample_block(rng, 64)
+                for h in model.offset + model.scale * xi[:, model.coord]:
+                    if t + h > horizon:
+                        A_op, B_op = sampled.discretize(model.plant, horizon - t)
+                        return A_op @ x + B_op @ (F @ x)
+                    A_op, B_op = sampled.discretize(model.plant, h)
+                    x = A_op @ x + B_op @ (F @ x)
+                    t += h
+
+        model = demo_models.example2_model()
+        F = np.array([[2.9242, 4.9123, -10.0501]])
+        for path in range(5):
+            got = cli._final_state(model, F, 8, path, 10.0)
+            assert np.array_equal(got, scalar_final_state(model, F, 8, path, 10.0))
 
 
 class TestMisc:

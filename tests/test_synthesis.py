@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from stochlyap import synthesis
 from stochlyap.analysis import check_quadratic
+from stochlyap.demo_models import example2_model
 from stochlyap.dist import Constant, Discrete, DistributionSpec, Normal, Uniform
 from stochlyap.errors import (
     AnalysisOnlyModel,
@@ -14,12 +16,13 @@ from stochlyap.moments import (
     closed_loop_second_moment,
     factorize,
     second_moment_analytic,
+    second_moment_mc,
 )
 from stochlyap import sdpa
 from stochlyap.synthesis import (
     _x_index_pairs,
     assemble,
-    candidate_gains,
+    check_infeasibility,
     closed_loop_rate,
     join_vars,
     solve_feasibility,
@@ -28,6 +31,8 @@ from stochlyap.synthesis import (
     verify_gain,
 )
 from stochlyap.sysmodel import AffineForm, SwitchedForm
+
+from synthesis_oracles import candidate_gains
 
 
 def det_pair(A, B):
@@ -221,6 +226,19 @@ class TestSolveFeasibility:
         problem = assemble(factorize(data), 0.999, 1e-8)
         res = solve_feasibility(problem)
         assert res.status == "infeasible"
+        assert res.mu < 0 and check_infeasibility(problem, res.W, res.mu)
+
+    @pytest.mark.parametrize("tamper", ["off_diagonal", "mu_sign"])
+    def test_tampered_certificate_rejected(self, tamper):
+        data = second_moment_analytic(det_pair([[2.0]], [[0.0]]))
+        problem = assemble(factorize(data), 0.999, 1e-8)
+        res = solve_feasibility(problem)
+        W, mu = res.W.copy(), res.mu
+        if tamper == "off_diagonal":
+            W[0, 1] += 1e-3
+        else:
+            mu = -mu
+        assert not check_infeasibility(problem, W, mu)
 
     def test_homogeneity_of_returned_point(self):
         data = second_moment_analytic(det_pair([[0.6]], [[1.0]]))
@@ -229,17 +247,10 @@ class TestSolveFeasibility:
         M2 = problem.assemble_at(2.0 * join_vars(res.X, res.Y))
         assert np.linalg.eigvalsh(M2)[0] >= problem.margin  # margin doubles
 
-    def test_bare_dykstra_iteration(self):
-        # force the projection loop: no gain seeds, no default seeds,
-        # infeasible warm start
+    def test_cold_start_interior_point(self):
         data = second_moment_analytic(det_pair([[0.9]], [[1.0]]))
         problem = assemble(factorize(data), 0.35, 1e-6)
-        res = solve_feasibility(
-            problem,
-            warm_start=join_vars(np.eye(1), np.zeros((1, 1))),
-            seed_gains=[],
-            default_seeds=False,
-        )
+        res = solve_feasibility(problem)
         assert res.feasible and res.iterations > 0
         F = res.Y @ np.linalg.inv(res.X)
         assert abs(0.9 + F[0, 0]) < 0.35 + 1e-6
@@ -347,7 +358,7 @@ class TestSdpaExport:
             path = str(tmp_path / f"prob_{expected}.dat-s")
             sdpa.write_problem(problem, path)
             external = solve_parsed_sdpa(path)
-            ref = solve_feasibility(problem, seed_gains=gains).feasible
+            ref = solve_feasibility(problem).feasible
             assert ref == external == expected
 
 
@@ -418,6 +429,28 @@ class TestSynthesizeMinLambda:
             ok, _ = check_quadratic(cl, P, result.lam)
             assert ok
             done += 1
+
+
+class TestExample2Bisection:
+    @pytest.mark.parametrize("seed", [13, 14, 19])
+    def test_rate_within_tolerance_of_gain(self, seed, monkeypatch):
+        # the gain's own rate is at least the optimum, so a returned rate more
+        # than lambda_tol above it means a feasible probe was called infeasible
+        probes = []
+        solve = synthesis.solve_feasibility
+
+        def recording(problem, backend="ref"):
+            res = solve(problem, backend)
+            probes.append((problem, res))
+            return res
+
+        monkeypatch.setattr(synthesis, "solve_feasibility", recording)
+        model = example2_model()
+        data = second_moment_mc(model, 200_000, seed)
+        result = synthesize_min_lambda(model, data, lambda_tol=1e-3)
+        assert result.lam - 1e-3 <= result.closed_loop_report.lambda_min <= result.lam
+        for problem, res in probes:
+            assert res.feasible or check_infeasibility(problem, res.W, res.mu)
 
 
 class TestVerifyGain:
