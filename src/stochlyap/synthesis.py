@@ -200,7 +200,10 @@ class FeasibilityResult:
     """Outcome of one feasibility solve.
 
     An ``infeasible`` result of the reference backend carries the dual
-    certificate ``(W, mu)`` that :func:`check_infeasibility` accepts.
+    point ``(W, mu)``.  When it ended with ``mu < 0`` it is a proof that
+    :func:`check_infeasibility` accepts; when it ended with the duality
+    gap closed (a probe on the boundary) ``mu`` may be slightly positive,
+    and the verdict is not a proof.
     """
 
     status: str  # "feasible" | "infeasible" | "exported"
@@ -267,34 +270,44 @@ def _max_step(e: np.ndarray, U: np.ndarray, dP: np.ndarray) -> float:
 def _solve_reference(problem: LmiProblem) -> FeasibilityResult:
     """Mehrotra predictor-corrector on the central path ``W F = nu I`` (HKM direction).
 
-    ``x = (v, t)`` and ``F = M(v) - t I``; the last coefficient block is
-    ``-I`` for ``t``.  Both starting points are feasible, and the
-    corrected Newton system keeps the equalities while ``W, F > 0``.
+    ``x = (v, t)`` and ``F = M(v) - t I``.  Both starting points are
+    feasible, and the corrected Newton system keeps the equalities while
+    ``W, F > 0``.  Memory is the dense ``num_vars x D x D`` coefficient
+    stack plus a few ``D x D`` matrices: the Newton matrix is built one
+    row at a time.
     """
-    n, m, N, D = problem.n, problem.m, problem.num_vars + 1, problem.dim
+    n, m, nv, D = problem.n, problem.m, problem.num_vars, problem.dim
+    N = nv + 1
     b = problem.basis
-    S = np.zeros((N, D, D))
+    S = np.zeros((nv, D, D))
     S[b["var"], b["row"], b["col"]] = b["val"]
     S[b["var"], b["col"], b["row"]] = b["val"]
-    S[-1] = -np.eye(D)
-    S_flat = S.reshape(N, D * D)
+    S_flat = S.reshape(nv, D * D)
+    I = np.eye(D)
+
+    def lin(y):  # F(y) = M(y[:nv]) - y[nv] I
+        return (y[:nv] @ S_flat).reshape(D, D) - y[nv] * I
+
+    def adj(Z):  # (tr(Z S_a))_a, then tr(-Z) for t
+        return np.append(S_flat @ Z.ravel(), -np.trace(Z))
+
     c = np.append(_trace_coefficients(problem), 0.0)
     x = c / n
-    M = (x @ S_flat).reshape(D, D)
+    M = lin(x)
     x[-1] = np.linalg.eigvalsh(M)[0] - np.linalg.norm(M) / np.sqrt(D)
     # W = I/D is dual feasible: tr S_a is lam^2 + w on the diagonal of X, else 0
-    W = np.eye(D) / D
+    W = I / D
     mu = (problem.lam**2 + (n + m) * n) / D
     K = np.zeros((N + 1, N + 1))
     K[:N, N] = K[N, :N] = c
     for it in range(_NEWTON_CAP + 1):
-        F = (x @ S_flat).reshape(D, D)
+        F = lin(x)
         if x[-1] > 0:
             out = _rescaled_if_pd(problem, x[:-1])
             if out is not None:
                 return FeasibilityResult("feasible", *split_vars(out, n, m), it, "ref")
         gap = float(np.sum(W * F))  # mu - t on the feasible sets
-        if mu < 0 or gap <= _PD_REL * float(np.linalg.norm(F + x[-1] * np.eye(D))):
+        if mu < 0 or gap <= _PD_REL * float(np.linalg.norm(F + x[-1] * I)):
             tr = float(np.trace(W))
             return FeasibilityResult("infeasible", None, None, it, "ref", W / tr, mu / tr)
         e, U = np.linalg.eigh(F)
@@ -302,19 +315,21 @@ def _solve_reference(problem: LmiProblem) -> FeasibilityResult:
         if it == _NEWTON_CAP or e[0] <= 0 or ew[0] <= 0:
             raise BackendFailure(f"interior point stalled after {it} steps at gap {gap:.3g}")
         R = (U / e) @ U.T
-        K[:N, :N] = (W @ S @ R).reshape(N, -1) @ S_flat.T
+        for a in range(nv):  # K_ab = tr(W S_a R S_b)
+            K[a, :N] = adj(W @ S[a] @ R)
+        K[nv, :N] = adj(-(W @ R))
         d = np.sqrt(np.abs(np.diag(K)))  # equilibration; zero rows are absent variables
         d[d == 0.0] = 1.0
         K_eq = K / np.outer(d, d)
         rhs0 = np.append(-mu * c, 1.0 - c @ x)
         rhs0[N - 1] = 1.0  # the t row, where c is 0
-        trRS = S_flat @ R.ravel()
+        trRS = adj(R)
 
         def direction(target, corr):
             rhs = rhs0.copy()
-            rhs[:N] += target * trRS - S_flat @ corr.ravel()
+            rhs[:N] += target * trRS - adj(corr)
             sol = np.linalg.lstsq(K_eq, rhs / d, rcond=None)[0] / d
-            dF = (sol[:N] @ S_flat).reshape(D, D)
+            dF = lin(sol[:N])
             T = W @ dF @ R + corr
             return sol[:N], sol[N], dF, target * R - W - (T + T.T) / 2.0
 
@@ -329,14 +344,13 @@ def _solve_reference(problem: LmiProblem) -> FeasibilityResult:
         mu += ad * dmu
 
 
-def check_infeasibility(problem: LmiProblem, W: np.ndarray, mu: float,
-                        tol: float = CERT_TOL) -> bool:
+def check_infeasibility(problem: LmiProblem, W: np.ndarray, mu: float) -> bool:
     """Whether ``(W, mu)`` proves that ``M(v) > 0`` has no solution.
 
     Checks ``W = W^T >= 0``, ``tr W = 1``, ``tr(W S_a) = mu c_a`` for
     every variable and ``mu <= 0``; the last two within
-    ``tol * max_a ||S_a||_F``, the others within ``tol``.  The traces are
-    read straight from the entry list ``problem.basis``.
+    ``CERT_TOL * max_a ||S_a||_F``, the others within ``CERT_TOL``.  The
+    traces are read straight from the entry list ``problem.basis``.
     """
     W = np.asarray(W, dtype=float)
     D = problem.dim
@@ -349,11 +363,11 @@ def check_infeasibility(problem: LmiProblem, W: np.ndarray, mu: float,
     traces = np.bincount(b["var"], weights=b["val"] * w_entries, minlength=problem.num_vars)
     norms = np.bincount(b["var"], weights=b["val"] ** 2 * (1.0 + off),
                         minlength=problem.num_vars)
-    scale = tol * float(np.sqrt(norms.max()))
+    scale = CERT_TOL * float(np.sqrt(norms.max()))
     return bool(
-        np.abs(W - W.T).max() <= tol
-        and np.linalg.eigvalsh(W)[0] >= -tol
-        and abs(np.trace(W) - 1.0) <= tol
+        np.abs(W - W.T).max() <= CERT_TOL
+        and np.linalg.eigvalsh(W)[0] >= -CERT_TOL
+        and abs(np.trace(W) - 1.0) <= CERT_TOL
         and mu <= scale
         and np.abs(traces - mu * _trace_coefficients(problem)).max() <= scale
     )

@@ -235,7 +235,10 @@ class TestSolveFeasibility:
         res = solve_feasibility(problem)
         W, mu = res.W.copy(), res.mu
         if tamper == "off_diagonal":
+            # still symmetric, PSD and of unit trace: only tr(W S_a) = mu c_a can reject it
             W[0, 1] += 1e-3
+            W[1, 0] += 1e-3
+            assert np.linalg.eigvalsh(W)[0] > 0 and abs(np.trace(W) - 1.0) < 1e-12
         else:
             mu = -mu
         assert not check_infeasibility(problem, W, mu)
