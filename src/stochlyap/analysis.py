@@ -46,7 +46,6 @@ class MomentOperatorMatrix:
 
     matrix: np.ndarray
     n: int
-    source: SecondMomentData | None = None
 
     def apply(self, P: np.ndarray) -> np.ndarray:
         """Evaluate ``E[A^T P A]`` as ``unvec(M vec(P))``."""
@@ -56,7 +55,7 @@ class MomentOperatorMatrix:
 def build_operator(data: SecondMomentData) -> MomentOperatorMatrix:
     """Moment operator matrix from second-moment data (A-block only)."""
     M = operator_matrix(data.a_block, data.n)
-    return MomentOperatorMatrix(np.ascontiguousarray(M), data.n, data)
+    return MomentOperatorMatrix(np.ascontiguousarray(M), data.n)
 
 
 def spectral_radius(op: MomentOperatorMatrix, tol: float) -> float:

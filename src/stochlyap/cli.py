@@ -5,9 +5,6 @@ Commands: ``analyze``, ``synthesize``, ``simulate``, ``discretize``,
 JSON on stdout and echo the fully resolved configuration; files are
 written atomically.  Exit codes: 0 success/stable, 1 usage or I/O error,
 2 unstable or infeasible, 3 verification mismatch.
-
-The environment variable ``STOCH_LYAP_THREADS`` caps the worker count of
-every parallel section.
 """
 
 from __future__ import annotations
@@ -45,23 +42,12 @@ def _emit(obj: dict, out: str | None) -> None:
         write_atomic(out, [text + "\n"])
 
 
-def _threads(requested: int | None) -> int:
-    cap = os.environ.get("STOCH_LYAP_THREADS")
-    t = 1 if requested is None else max(1, requested)
-    if cap is not None:
-        try:
-            t = min(t, max(1, int(cap)))
-        except ValueError:
-            raise StochLyapError(f"STOCH_LYAP_THREADS must be an integer, got {cap!r}") from None
-    return t
-
-
 def _load_model(path: str) -> SystemModel:
     with open(path) as f:
         return model_from_obj(json.load(f))
 
 
-def _resolve_moments(model, spec: str, seed: int, cache: str | None, threads: int):
+def _resolve_moments(model, spec: str, seed: int, cache: str | None):
     """Resolve the moment method string to data plus a config descriptor."""
     if cache and os.path.exists(cache):
         data = moments.load_moments(cache, model)
@@ -83,7 +69,7 @@ def _resolve_moments(model, spec: str, seed: int, cache: str | None, threads: in
         parts = spec.split(":")
         if len(parts) != 3:
             raise StochLyapError("expected mc:<samples>:<seed>")
-        data = moments.second_moment_mc(model, int(parts[1]), int(parts[2]), threads)
+        data = moments.second_moment_mc(model, int(parts[1]), int(parts[2]))
         desc = {"method": "mc", "samples": int(parts[1]), "seed": int(parts[2])}
     else:
         raise StochLyapError(f"unknown moments method {spec!r}")
@@ -102,11 +88,10 @@ def _base_config(args, **extra) -> dict:
 
 def _cmd_analyze(args) -> int:
     model = _load_model(args.model)
-    threads = _threads(args.threads)
-    data, desc = _resolve_moments(model, args.moments, args.seed, args.moments_cache, threads)
+    data, desc = _resolve_moments(model, args.moments, args.seed, args.moments_cache)
     report = analysis.stability_report(data, args.tol)
     out = {
-        "config": _base_config(args, tol=args.tol, moments=desc, threads=threads),
+        "config": _base_config(args, tol=args.tol, moments=desc),
         "model": model.to_obj(),
         "report": report.to_obj(),
     }
@@ -124,9 +109,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_synthesize(args) -> int:
     model = _load_model(args.model)
-    threads = _threads(args.threads)
-    data, desc = _resolve_moments(model, args.moments, args.seed, args.moments_cache, threads)
-    cfg = _base_config(args, tol=args.tol, moments=desc, backend=args.backend, threads=threads)
+    data, desc = _resolve_moments(model, args.moments, args.seed, args.moments_cache)
+    cfg = _base_config(args, tol=args.tol, moments=desc, backend=args.backend)
     if args.backend.startswith("sdpa-export:"):
         if args.lam is None:
             raise StochLyapError("--lambda is required with the sdpa-export backend")
@@ -154,20 +138,17 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model = _load_model(args.model)
-    threads = _threads(args.threads)
     x0 = np.array([float(v) for v in args.x0.split(",")])
     F = None
     if args.gain:
         with open(args.gain) as f:
             obj = json.load(f)
         F = np.asarray(obj["F"] if isinstance(obj, dict) else obj, dtype=float)
-    result = simulate.run_ensemble(
-        model, x0, args.kmax, args.paths, args.seed, F=F, threads=threads
-    )
+    result = simulate.run_ensemble(model, x0, args.kmax, args.paths, args.seed, F=F)
     simulate.write_rms_csv(result, args.out)
     _emit({
         "config": _base_config(args, paths=args.paths, kmax=args.kmax, seed=args.seed,
-                               x0=x0.tolist(), threads=threads, out=args.out,
+                               x0=x0.tolist(), out=args.out,
                                gain=None if F is None else F.tolist()),
         "rms_first": result.rms[0],
         "rms_last": result.rms[-1],
@@ -190,8 +171,7 @@ def _cmd_discretize(args) -> int:
 
 def _cmd_export_sdpa(args) -> int:
     model = _load_model(args.model)
-    threads = _threads(args.threads)
-    data, desc = _resolve_moments(model, args.moments, args.seed, args.moments_cache, threads)
+    data, desc = _resolve_moments(model, args.moments, args.seed, args.moments_cache)
     problem = synthesis.assemble(
         moments.factorize(data), args.lam, synthesis.default_margin(data)
     )
@@ -212,13 +192,12 @@ def _cmd_repro_example1(args) -> int:
     model = demo_models.example1_model()
     data = moments.second_moment_analytic(model)
     report = analysis.stability_report(data, args.tol)
-    threads = _threads(args.threads)
     x0 = np.array([1.0, 0.0, 0.0])
-    ens = simulate.run_ensemble(model, x0, args.kmax, args.paths, args.seed, threads=threads)
+    ens = simulate.run_ensemble(model, x0, args.kmax, args.paths, args.seed)
     lam_est = simulate.decay_rate(ens, 50, 100)
     out = {
         "config": _base_config(args, tol=args.tol, paths=args.paths, seed=args.seed,
-                               kmax=args.kmax, x0=x0.tolist(), threads=threads,
+                               kmax=args.kmax, x0=x0.tolist(),
                                moments={"method": "analytic"}, window=[50, 100]),
         "report": report.to_obj(),
         "lambda_min": report.lambda_min,
@@ -261,11 +240,9 @@ def _final_state(model: SampledDataForm, F: np.ndarray, seed: int, path: int, ho
 
 def _cmd_repro_example2(args) -> int:
     model = demo_models.example2_model()
-    threads = _threads(args.threads)
-    data = moments.second_moment_mc(model, args.samples, args.seed, threads)
+    data = moments.second_moment_mc(model, args.samples, args.seed)
     cfg = _base_config(args, samples=args.samples, seed=args.seed, tol=args.tol,
-                       sim_seed=args.sim_seed, paths=args.paths, horizon=10.0,
-                       threads=threads)
+                       sim_seed=args.sim_seed, paths=args.paths, horizon=10.0)
     try:
         result = synthesis.synthesize_min_lambda(model, data, lambda_tol=args.tol)
     except NotStabilizable as exc:
@@ -300,8 +277,15 @@ def _cmd_repro_example2(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit with ``EXIT_ERROR``, not 2."""
+
+    def error(self, message):
+        raise StochLyapError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stoch-lyap",
         description="Second-moment stability analysis and gain synthesis for "
                     "discrete-time systems with i.i.d. random dynamics",
@@ -310,16 +294,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"stoch-lyap {__version__} (schema {SCHEMA_VERSION})")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, moments_flag=True):
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (capped by STOCH_LYAP_THREADS)")
-        if moments_flag:
-            p.add_argument("--moments", default="auto",
-                           help="analytic | mc:<samples>:<seed> | auto")
-            p.add_argument("--moments-cache", default=None,
-                           help="JSON cache for expensive moment data")
-            p.add_argument("--seed", type=int, default=0,
-                           help="seed used when auto moments fall back to Monte Carlo")
+    def moment_flags(p):
+        p.add_argument("--moments", default="auto",
+                       help="analytic | mc:<samples>:<seed> | auto")
+        p.add_argument("--moments-cache", default=None,
+                       help="JSON cache for expensive moment data")
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed used when auto moments fall back to Monte Carlo")
 
     p = sub.add_parser("analyze", help="decide stability and report the minimal rate")
     p.add_argument("model")
@@ -327,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="additionally check feasibility at this rate")
     p.add_argument("--out", default=None)
-    common(p)
+    moment_flags(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("synthesize", help="synthesize a stabilizing gain")
@@ -339,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="rate for single-shot export backends")
     p.add_argument("--out", default=None)
-    common(p)
+    moment_flags(p)
     p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser("simulate", help="run a trajectory ensemble, write k,rms CSV")
@@ -350,21 +331,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gain", default=None, help="JSON file with the gain F")
     p.add_argument("--out", required=True, help="CSV output path")
-    common(p, moments_flag=False)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("discretize", help="zero-order-hold discretization of a plant")
     p.add_argument("plant")
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--out", default=None)
-    common(p, moments_flag=False)
     p.set_defaults(func=_cmd_discretize)
 
     p = sub.add_parser("export-sdpa", help="export the synthesis LMI in SDPA format")
     p.add_argument("model")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--out", required=True)
-    common(p)
+    moment_flags(p)
     p.set_defaults(func=_cmd_export_sdpa)
 
     p = sub.add_parser("repro-example1", help="run the built-in analysis example")
@@ -373,7 +352,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=100)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out-dir", default=None)
-    common(p, moments_flag=False)
     p.set_defaults(func=_cmd_repro_example1)
 
     p = sub.add_parser("repro-example2", help="run the built-in synthesis example")
@@ -383,14 +361,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--paths", type=int, default=100)
     p.add_argument("--out-dir", default=None)
-    common(p, moments_flag=False)
     p.set_defaults(func=_cmd_repro_example2)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (OSError, json.JSONDecodeError, UnsupportedForm, StochLyapError) as exc:
         print(f"error: {exc}", file=sys.stderr)

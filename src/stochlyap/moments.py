@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +29,8 @@ from .fileio import write_atomic
 from .sysmodel import AffineForm, PolyForm, SwitchedForm, SystemModel
 
 #: Samples per Monte-Carlo block.  Block ``b`` draws from
-#: ``substream(seed, b)``, so any partition into whole blocks reproduces
-#: the serial result bit for bit.
+#: ``substream(seed, b)``, and block sums are added in block order, so
+#: the estimate depends only on the seed and the sample count.
 MC_BLOCK = 8192
 
 _PSD_TOL = 1e-9
@@ -225,14 +224,12 @@ def _mc_block(model: SystemModel, seed: int, block: int, count: int):
     return g.T @ g, sq.T @ sq, g.sum(axis=0)
 
 
-def second_moment_mc(
-    model: SystemModel, samples: int, seed: int, threads: int = 1
-) -> SecondMomentData:
+def second_moment_mc(model: SystemModel, samples: int, seed: int) -> SecondMomentData:
     """Monte-Carlo estimate of the second-moment data.
 
     Draws are organized in fixed blocks of :data:`MC_BLOCK` samples;
-    block ``b`` uses ``substream(seed, b)``, so the estimate does not
-    depend on ``threads`` and different seeds share no block.
+    block ``b`` uses ``substream(seed, b)``, so different seeds share no
+    block.
 
     Parameters
     ----------
@@ -241,8 +238,6 @@ def second_moment_mc(
         Number of draws, at least 1000.
     seed : int
         Root seed recorded in the result.
-    threads : int
-        Worker threads for block evaluation (result unaffected).
 
     Returns
     -------
@@ -258,18 +253,11 @@ def second_moment_mc(
     if samples % MC_BLOCK:
         counts.append(samples % MC_BLOCK)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(lambda bc: _mc_block(model, seed, bc[0], bc[1]), enumerate(counts))
-            )
-    else:
-        parts = [_mc_block(model, seed, b, c) for b, c in enumerate(counts)]
-
     g2 = np.zeros((w, w))
     sq = np.zeros((w, w))
     gsum = np.zeros(w)
-    for gram, gram_sq, s in parts:
+    for b, count in enumerate(counts):
+        gram, gram_sq, s = _mc_block(model, seed, b, count)
         g2 += gram
         sq += gram_sq
         gsum += s
@@ -331,12 +319,7 @@ def closed_loop_second_moment(data: SecondMomentData, F: np.ndarray) -> SecondMo
     F = np.atleast_2d(np.asarray(F, dtype=float))
     if F.shape != (m, n):
         raise DimensionMismatch(f"gain shape {F.shape} != ({m}, {n})")
-    L = np.zeros((n * n, (n + m) * n))
-    for i in range(n):
-        for j in range(n):
-            L[i * n + j, i * n + j] = 1.0
-            for q in range(m):
-                L[i * n + j, n * n + i * m + q] = F[q, j]
+    L = np.hstack([np.eye(n * n), np.kron(np.eye(n), F.T)])
     g2 = L @ data.g2 @ L.T
     g2 = (g2 + g2.T) / 2.0
     mean = data.mean_a + data.mean_b @ F

@@ -5,12 +5,12 @@ draws its entire parameter history from ``substream(seed, p)``
 (coordinate-major, see ``DistributionSpec.sample_block``), and paths are
 accumulated in fixed blocks of :data:`PATH_BLOCK` with pairwise
 summation inside each block and a fixed-order reduction across blocks.
-The result is therefore bit-identical for any worker count.
+The result therefore depends only on the model, the initial state, the
+seed and the path and step counts.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +20,8 @@ from .errors import DegenerateWindow, StochLyapError
 from .fileio import write_atomic
 from .sysmodel import SystemModel
 
-#: Paths per accumulation block; also the parallel work unit.
+#: Paths per accumulation block; it fixes the summation order and the
+#: memory that one block's draws take.
 PATH_BLOCK = 1024
 
 #: State-norm ceiling; paths exceeding it are rescaled onto it and counted.
@@ -85,7 +86,6 @@ def run_ensemble(
     n_paths: int,
     seed: int,
     F=None,
-    threads: int = 1,
     store_paths: bool = False,
 ) -> EnsembleResult:
     """Simulate ``n_paths`` state trajectories and estimate the RMS norm.
@@ -104,8 +104,6 @@ def run_ensemble(
         different seeds share no path.
     F : array_like, optional
         State-feedback gain folded into the model before simulation.
-    threads : int
-        Worker threads over path blocks (result unaffected).
     store_paths : bool
         Keep the per-path squared-norm trajectories on the result.
 
@@ -124,13 +122,7 @@ def run_ensemble(
         raise StochLyapError("open-loop input channel present; pass the gain F")
 
     bounds = [(lo, min(lo + PATH_BLOCK, n_paths)) for lo in range(0, n_paths, PATH_BLOCK)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(lambda b: _block_sums(model, x0, k_max, seed, b[0], b[1]), bounds)
-            )
-    else:
-        parts = [_block_sums(model, x0, k_max, seed, lo, hi) for lo, hi in bounds]
+    parts = [_block_sums(model, x0, k_max, seed, lo, hi) for lo, hi in bounds]
 
     total = np.sum(np.stack([p[0] for p in parts]), axis=0)
     overflow = sum(p[1] for p in parts)
@@ -162,7 +154,6 @@ def attractivity_probe(
     n_paths: int,
     seed: int,
     threshold: float,
-    threads: int = 1,
 ) -> list[bool]:
     """Empirical attractivity check per initial state.
 
@@ -173,7 +164,7 @@ def attractivity_probe(
         raise StochLyapError("threshold must lie in (0, 1)")
     out = []
     for x0 in x0_set:
-        r = run_ensemble(model, x0, k_max, n_paths, seed, threads=threads)
+        r = run_ensemble(model, x0, k_max, n_paths, seed)
         out.append(bool(r.rms[k_max] < threshold * r.rms[0]))
     return out
 

