@@ -42,7 +42,7 @@ print(f"\nwithout feedback the sampled system is unstable: "
 
 # one continuous-time sample path under the synthesized gain
 rng = substream(8, 0)
-hs = model.offset + model.dist.sample_block(rng, 200)[:, 0]
+hs = model.interval(model.dist.sample_block(rng, 200))
 instants = np.concatenate([[0.0], np.cumsum(hs)])
 instants = instants[instants <= 10.0]
 t, x, u = intersample_trajectory(model.plant, result.F, instants,

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import moment as _dist_moment
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -188,14 +187,14 @@ def special_case_lmi(model: SystemModel) -> list[tuple[float, np.ndarray]]:
         Z = model.Z
         for i in range(Z):
             e_i = tuple(1 if t == i else 0 for t in range(Z))
-            if _dist_moment(model.dist, e_i) != 0.0:
+            if model.dist.moment(e_i) != 0.0:
                 raise UnsupportedForm(
                     "affine special case needs zero-mean noise coordinates"
                 )
         pairs = [(1.0, model.a_mats[0])]
         for i in range(Z):
             e_i2 = tuple(2 if t == i else 0 for t in range(Z))
-            pairs.append((float(_dist_moment(model.dist, e_i2)), model.a_mats[i + 1]))
+            pairs.append((float(model.dist.moment(e_i2)), model.a_mats[i + 1]))
         return pairs
     raise UnsupportedForm(f"no special-case LMI for {type(model).__name__}")
 

@@ -47,7 +47,7 @@ def _load_model(path: str) -> SystemModel:
         return model_from_obj(json.load(f))
 
 
-def _resolve_moments(model, spec: str, seed: int, cache: str | None):
+def _resolve_moments(model, spec: str, cache: str | None):
     """Resolve the moment method string to data plus a config descriptor."""
     if cache and os.path.exists(cache):
         data = moments.load_moments(cache, model)
@@ -60,7 +60,7 @@ def _resolve_moments(model, spec: str, seed: int, cache: str | None):
             data = moments.second_moment_analytic(model)
             spec = "analytic"
         except UnsupportedForm:
-            spec = f"mc:100000:{seed}"
+            spec = "mc:100000:0"
     if spec == "analytic":
         if data is None:
             data = moments.second_moment_analytic(model)
@@ -88,7 +88,7 @@ def _base_config(args, **extra) -> dict:
 
 def _cmd_analyze(args) -> int:
     model = _load_model(args.model)
-    data, desc = _resolve_moments(model, args.moments, args.seed, args.moments_cache)
+    data, desc = _resolve_moments(model, args.moments, args.moments_cache)
     report = analysis.stability_report(data, args.tol)
     out = {
         "config": _base_config(args, tol=args.tol, moments=desc),
@@ -109,25 +109,10 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_synthesize(args) -> int:
     model = _load_model(args.model)
-    data, desc = _resolve_moments(model, args.moments, args.seed, args.moments_cache)
-    cfg = _base_config(args, tol=args.tol, moments=desc, backend=args.backend)
-    if args.backend.startswith("sdpa-export:"):
-        if args.lam is None:
-            raise StochLyapError("--lambda is required with the sdpa-export backend")
-        problem = synthesis.assemble(
-            moments.factorize(data), args.lam, synthesis.default_margin(data)
-        )
-        res = synthesis.solve_feasibility(problem, args.backend)
-        out = {"config": cfg, "status": res.status, "lambda": args.lam}
-        if res.feasible:
-            F = res.Y @ np.linalg.inv(res.X)
-            out["X"], out["Y"], out["F"] = res.X.tolist(), res.Y.tolist(), F.tolist()
-        _emit(out, args.out)
-        return EXIT_OK
+    data, desc = _resolve_moments(model, args.moments, args.moments_cache)
+    cfg = _base_config(args, tol=args.tol, moments=desc)
     try:
-        result = synthesis.synthesize_min_lambda(
-            model, data, lambda_tol=args.tol, backend=args.backend
-        )
+        result = synthesis.synthesize_min_lambda(model, data, lambda_tol=args.tol)
     except NotStabilizable as exc:
         _emit({"config": cfg, "status": "not-stabilizable",
                "diagnostic_lambda": exc.diagnostic_lambda}, args.out)
@@ -171,20 +156,25 @@ def _cmd_discretize(args) -> int:
 
 def _cmd_export_sdpa(args) -> int:
     model = _load_model(args.model)
-    data, desc = _resolve_moments(model, args.moments, args.seed, args.moments_cache)
+    data, desc = _resolve_moments(model, args.moments, args.moments_cache)
     problem = synthesis.assemble(
         moments.factorize(data), args.lam, synthesis.default_margin(data)
     )
     from . import sdpa
 
     sdpa.write_problem(problem, args.out)
-    _emit({
-        "config": _base_config(args, moments=desc, out=args.out),
+    out = {
+        "config": _base_config(args, moments=desc, out=args.out, solution=args.solution),
         "lambda": args.lam,
         "variables": problem.num_vars,
         "block_sizes": [problem.dim, problem.n],
         "margin": problem.margin,
-    }, None)
+    }
+    if args.solution:
+        res = synthesis.import_solution(problem, args.solution)
+        F = res.Y @ np.linalg.inv(res.X)
+        out.update(status=res.status, X=res.X.tolist(), Y=res.Y.tolist(), F=F.tolist())
+    _emit(out, None)
     return EXIT_OK
 
 
@@ -222,8 +212,7 @@ def _final_state(model: SampledDataForm, F: np.ndarray, seed: int, path: int, ho
     x = np.array([1.0, 0.0, 0.0])
     t = 0.0
     while True:
-        xi = model.dist.sample_block(rng, 64)
-        hs = model.offset + model.scale * xi[:, model.coord]
+        hs = model.interval(model.dist.sample_block(rng, 64))
         ends = np.cumsum(np.append(t, hs))  # sampling instants, summed one step at a time
         k = int(np.searchsorted(ends[1:], horizon, side="right"))
         steps = hs[:k]
@@ -296,11 +285,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def moment_flags(p):
         p.add_argument("--moments", default="auto",
-                       help="analytic | mc:<samples>:<seed> | auto")
+                       help="analytic | mc:<samples>:<seed> | auto (analytic where "
+                            "supported, else mc:100000:0)")
         p.add_argument("--moments-cache", default=None,
                        help="JSON cache for expensive moment data")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed used when auto moments fall back to Monte Carlo")
 
     p = sub.add_parser("analyze", help="decide stability and report the minimal rate")
     p.add_argument("model")
@@ -314,11 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="synthesize a stabilizing gain")
     p.add_argument("model")
     p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--backend", default="ref",
-                   help="ref (interior point, no seeds; infeasible rates carry a dual "
-                        "certificate) | sdpa-export:<path>[:<solution>]")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="rate for single-shot export backends")
     p.add_argument("--out", default=None)
     moment_flags(p)
     p.set_defaults(func=_cmd_synthesize)
@@ -343,6 +326,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--solution", default=None,
+                   help="external solver output (xVec = {...}) to validate against "
+                        "the exported problem")
     moment_flags(p)
     p.set_defaults(func=_cmd_export_sdpa)
 

@@ -214,32 +214,12 @@ class DistributionSpec:
     def Z(self) -> int:
         return len(self.coords)
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw one parameter vector.
-
-        Coordinates are drawn in index order, one variate each, so the
-        stream advance is fully determined by the spec.
-
-        Parameters
-        ----------
-        rng : numpy.random.Generator
-            Caller-owned stream, typically from :func:`make_stream`.
-
-        Returns
-        -------
-        numpy.ndarray
-            Vector of length ``Z``.
-        """
-        return np.array([c.sample(rng, 1)[0] for c in self.coords])
-
     def sample_block(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw ``count`` parameter vectors as a ``(count, Z)`` array.
 
         Draw order is coordinate-major: the full series for coordinate 0
-        is drawn first, then coordinate 1, and so on.  This is the layout
-        used by ensemble simulation and Monte-Carlo moments; it differs
-        from ``count`` repeated calls of :meth:`sample` but is equally
-        deterministic for a fixed stream.
+        is drawn first, then coordinate 1, and so on, so the stream
+        advance is fully determined by the spec and ``count``.
         """
         out = np.empty((count, self.Z))
         for i, c in enumerate(self.coords):
@@ -290,12 +270,3 @@ class DistributionSpec:
     def from_obj(obj: dict) -> "DistributionSpec":
         return DistributionSpec(tuple(scalar_from_obj(c) for c in obj["coords"]))
 
-
-def sample(spec: DistributionSpec, rng: np.random.Generator) -> np.ndarray:
-    """Draw one parameter vector from ``spec``; see :meth:`DistributionSpec.sample`."""
-    return spec.sample(rng)
-
-
-def moment(spec: DistributionSpec, alpha) -> float:
-    """Exact mixed moment; see :meth:`DistributionSpec.moment`."""
-    return spec.moment(alpha)

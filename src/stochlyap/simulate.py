@@ -47,8 +47,12 @@ class EnsembleResult:
     path_sq: np.ndarray | None = None
 
 
-def _block_sums(model, x0, k_max, seed, lo, hi):
-    """Squared-norm column sums and overflow count for paths [lo, hi)."""
+def _block_sums(model, x0, k_max, seed, lo, hi, keep_paths):
+    """Squared-norm column sums and overflow count for paths [lo, hi).
+
+    The per-path squared norms come third when ``keep_paths`` is set,
+    else None, so an ensemble holds one block of them at a time.
+    """
     count = hi - lo
     Z = model.Z
     xi = np.empty((count, k_max, Z))
@@ -76,7 +80,7 @@ def _block_sums(model, x0, k_max, seed, lo, hi):
             clamped |= over
             norms[over] = OVERFLOW_NORM
         sq[:, k + 1] = norms * norms
-    return np.sum(sq, axis=0), int(clamped.sum()), sq
+    return np.sum(sq, axis=0), int(clamped.sum()), sq if keep_paths else None
 
 
 def run_ensemble(
@@ -122,7 +126,7 @@ def run_ensemble(
         raise StochLyapError("open-loop input channel present; pass the gain F")
 
     bounds = [(lo, min(lo + PATH_BLOCK, n_paths)) for lo in range(0, n_paths, PATH_BLOCK)]
-    parts = [_block_sums(model, x0, k_max, seed, lo, hi) for lo, hi in bounds]
+    parts = [_block_sums(model, x0, k_max, seed, lo, hi, store_paths) for lo, hi in bounds]
 
     total = np.sum(np.stack([p[0] for p in parts]), axis=0)
     overflow = sum(p[1] for p in parts)

@@ -53,7 +53,6 @@ from .moments import (
     SecondMomentData,
     closed_loop_second_moment,
     factorize,
-    operator_matrix,
 )
 from .analysis import StabilityReport, stability_report
 from .sysmodel import SystemModel
@@ -128,7 +127,6 @@ class LmiProblem:
     lam: float
     n: int
     m: int
-    factors: RearrangedFactors
 
     def assemble_at(self, v: np.ndarray) -> np.ndarray:
         """Dense ``M(v)``: the upper triangle scattered, then mirrored."""
@@ -185,7 +183,7 @@ def assemble(factors: RearrangedFactors, lam: float, margin: float) -> LmiProble
     basis["col"] = np.concatenate([p[2] for p in parts])
     basis["val"] = np.concatenate([p[3] for p in parts])
     basis = basis[basis["val"] != 0.0]
-    return LmiProblem(basis, D, a0 + m * n, float(margin), float(lam), n, m, factors)
+    return LmiProblem(basis, D, a0 + m * n, float(margin), float(lam), n, m)
 
 
 def _trace_coefficients(problem: LmiProblem) -> np.ndarray:
@@ -210,29 +208,12 @@ class FeasibilityResult:
     X: np.ndarray | None
     Y: np.ndarray | None
     iterations: int
-    backend: str
     W: np.ndarray | None = None
     mu: float | None = None
 
     @property
     def feasible(self) -> bool:
         return self.status == "feasible"
-
-
-def closed_loop_rate(factors: RearrangedFactors, F: np.ndarray) -> float:
-    """Exact closed-loop minimal decay rate for a candidate gain.
-
-    Works directly on the stacked factors: the closed-loop factor is
-    ``H = GpA + GpB F`` and the closed-loop entry products are the block
-    Gram matrix of ``H``.
-    """
-    n, m = factors.n, factors.m
-    F = np.atleast_2d(np.asarray(F, float))
-    if F.shape != (m, n):
-        raise DimensionMismatch(f"gain shape {F.shape} != ({m}, {n})")
-    H = (factors.gpa + factors.gpb @ F).reshape(n, (n + m) * n, n)
-    M = operator_matrix(np.einsum("iwj,kwl->ijkl", H, H), n)
-    return float(np.sqrt(np.abs(np.linalg.eigvals(M)).max()))
 
 
 def candidate_gains(data: SecondMomentData) -> list[np.ndarray]:
@@ -305,11 +286,11 @@ def _solve_reference(problem: LmiProblem) -> FeasibilityResult:
         if x[-1] > 0:
             out = _rescaled_if_pd(problem, x[:-1])
             if out is not None:
-                return FeasibilityResult("feasible", *split_vars(out, n, m), it, "ref")
+                return FeasibilityResult("feasible", *split_vars(out, n, m), it)
         gap = float(np.sum(W * F))  # mu - t on the feasible sets
         if mu < 0 or gap <= _PD_REL * float(np.linalg.norm(F + x[-1] * I)):
             tr = float(np.trace(W))
-            return FeasibilityResult("infeasible", None, None, it, "ref", W / tr, mu / tr)
+            return FeasibilityResult("infeasible", None, None, it, W / tr, mu / tr)
         e, U = np.linalg.eigh(F)
         ew, Uw = np.linalg.eigh(W)
         if it == _NEWTON_CAP or e[0] <= 0 or ew[0] <= 0:
@@ -373,6 +354,28 @@ def check_infeasibility(problem: LmiProblem, W: np.ndarray, mu: float) -> bool:
     )
 
 
+def import_solution(problem: LmiProblem, path: str) -> FeasibilityResult:
+    """Validate an externally solved point of ``problem`` read from ``path``.
+
+    ``path`` holds SDPA solver output (an ``xVec = {...}`` section) or
+    plain numbers in the :func:`split_vars` layout.  A strictly feasible
+    point is rescaled onto the margin and returned as ``feasible``.
+
+    Raises
+    ------
+    BackendFailure
+        Too few numbers in the file, or a point that is not strictly
+        feasible.
+    """
+    from . import sdpa
+
+    v = sdpa.read_solution_vector(path, problem.num_vars)
+    out = _rescaled_if_pd(problem, v)
+    if out is None:
+        raise BackendFailure("imported solution is not strictly feasible")
+    return FeasibilityResult("feasible", *split_vars(out, problem.n, problem.m), 0)
+
+
 def solve_feasibility(
     problem: LmiProblem,
     backend: str = "ref",
@@ -387,8 +390,8 @@ def solve_feasibility(
         docstring from a cold start, with no seed points or gains.
         ``"sdpa-export:<path>"`` writes the problem in SDPA sparse format
         to ``<path>`` and returns an ``"exported"`` result;
-        ``"sdpa-export:<path>:<solution>"`` additionally parses an
-        externally produced solution file and validates it.
+        ``"sdpa-export:<path>:<solution>"`` additionally validates an
+        externally produced solution file with :func:`import_solution`.
 
     Returns
     -------
@@ -418,14 +421,8 @@ def solve_feasibility(
             raise BackendFailure("sdpa-export backend needs a target path")
         sdpa.write_problem(problem, path)
         if len(parts) == 3:
-            v = sdpa.read_solution_vector(parts[2], problem.num_vars)
-            out = _rescaled_if_pd(problem, v)
-            if out is None:
-                raise BackendFailure("imported solution is not strictly feasible")
-            return FeasibilityResult(
-                "feasible", *split_vars(out, problem.n, problem.m), 0, backend
-            )
-        return FeasibilityResult("exported", None, None, 0, backend)
+            return import_solution(problem, parts[2])
+        return FeasibilityResult("exported", None, None, 0)
     raise BackendFailure(f"unknown backend {backend!r}")
 
 
@@ -442,7 +439,6 @@ class SynthesisResult:
     Y: np.ndarray
     F: np.ndarray
     lam: float
-    backend: str
     trace: tuple
     closed_loop_report: StabilityReport
 
@@ -452,7 +448,6 @@ class SynthesisResult:
             "Y": self.Y.tolist(),
             "F": self.F.tolist(),
             "lambda": self.lam,
-            "backend": self.backend,
             "trace": [list(t) for t in self.trace],
             "closed_loop_report": self.closed_loop_report.to_obj(),
         }
@@ -471,8 +466,6 @@ def synthesize_min_lambda(
     model: SystemModel,
     data: SecondMomentData,
     lambda_tol: float = 1e-3,
-    backend: str = "ref",
-    margin: float | None = None,
 ) -> SynthesisResult:
     """Bisect the decay rate and return the gain at the smallest feasible one.
 
@@ -492,10 +485,6 @@ def synthesize_min_lambda(
         Open-loop second-moment data (analytic or Monte-Carlo).
     lambda_tol : float
         Bisection width, in ``[1e-4, 1e-2]``.
-    backend : str
-        Feasibility backend; bisection requires ``"ref"``.
-    margin : float, optional
-        Strictness margin, defaulting to :func:`default_margin`.
     """
     if model.m == 0:
         raise AnalysisOnlyModel("synthesis needs an input channel (m >= 1)")
@@ -503,16 +492,13 @@ def synthesize_min_lambda(
         raise DimensionMismatch("model and moment data dimensions disagree")
     if not 1e-4 <= lambda_tol <= 1e-2:
         raise StochLyapError("lambda_tol must lie in [1e-4, 1e-2]")
-    if backend != "ref":
-        raise BackendFailure("bisection requires the reference backend")
-    if margin is None:
-        margin = default_margin(data)
 
     factors = factorize(data)
+    margin = default_margin(data)
     trace = []
 
     def probe(lam):
-        res = solve_feasibility(assemble(factors, lam, margin), backend)
+        res = solve_feasibility(assemble(factors, lam, margin))
         trace.append((lam, res.feasible, res.iterations))
         return res
 
@@ -549,4 +535,4 @@ def synthesize_min_lambda(
             f"closed-loop rate {report.lambda_min:.6f} exceeds achieved "
             f"{hi:.6f} by more than {5.0 * lambda_tol}"
         )
-    return SynthesisResult(X, Y, F, hi, backend, tuple(trace), report)
+    return SynthesisResult(X, Y, F, hi, tuple(trace), report)

@@ -75,9 +75,6 @@ class PolyEntry:
                 acc[alpha] = acc.get(alpha, 0.0) + weight * coeff
         return PolyEntry(tuple((c, a) for a, c in acc.items()))
 
-    def __call__(self, xi: np.ndarray) -> float:
-        return sum(c * np.prod(np.asarray(xi, float) ** np.asarray(a)) for c, a in self.terms)
-
     def eval_block(self, Xi: np.ndarray) -> np.ndarray:
         """Evaluate on a ``(count, Z)`` block of parameter vectors."""
         out = np.zeros(Xi.shape[0])
@@ -397,13 +394,13 @@ class SampledDataForm(SystemModel):
     def m(self) -> int:
         return self.plant.m
 
-    def interval(self, xi) -> float:
-        return self.offset + self.scale * np.asarray(xi, float)[self.coord]
+    def interval(self, Xi: np.ndarray) -> np.ndarray:
+        """Sampling intervals ``h`` of a ``(count, Z)`` block of parameter vectors."""
+        return self.offset + self.scale * Xi[:, self.coord]
 
     def evaluate_block(self, Xi):
         Xi = self._check_block(Xi)
-        h = self.offset + self.scale * Xi[:, self.coord]
-        return _sampled.discretize_batch(self.plant, h)
+        return _sampled.discretize_batch(self.plant, self.interval(Xi))
 
     def closed_loop(self, F):
         F = self._check_gain(F)
@@ -448,16 +445,6 @@ class ClosedLoopSampledForm(SystemModel):
     def to_obj(self):
         return {"form": "sampled-closed-loop", "base": self.base.to_obj(),
                 "F": self.F.tolist()}
-
-
-def evaluate(model: SystemModel, xi):
-    """Functional alias for :meth:`SystemModel.evaluate`."""
-    return model.evaluate(xi)
-
-
-def closed_loop(model: SystemModel, F):
-    """Functional alias for :meth:`SystemModel.closed_loop`."""
-    return model.closed_loop(F)
 
 
 def model_from_obj(obj: dict) -> SystemModel:

@@ -1,6 +1,7 @@
 """Best-achievable-rate oracle for the synthesis tests.
 
-None of this is used by the library itself.  :func:`candidate_gains`
+None of this is used by the library itself.  :func:`closed_loop_rate` is
+the dense-``eigvals`` reference for the rate of a gain; :func:`candidate_gains`
 collects closed-form gains (zero, factor least-squares, the Riccati gain
 of the mean system) and refines the best of them by two Nelder-Mead runs
 on the exact closed-loop rate, so ``min(closed_loop_rate(factors, F))``
@@ -11,8 +12,24 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from stochlyap.moments import factorize
-from stochlyap.synthesis import closed_loop_rate
+from stochlyap.errors import DimensionMismatch
+from stochlyap.moments import factorize, operator_matrix
+
+
+def closed_loop_rate(factors, F):
+    """Exact closed-loop minimal decay rate for a candidate gain.
+
+    Works directly on the stacked factors: the closed-loop factor is
+    ``H = GpA + GpB F`` and the closed-loop entry products are the block
+    Gram matrix of ``H``.
+    """
+    n, m = factors.n, factors.m
+    F = np.atleast_2d(np.asarray(F, float))
+    if F.shape != (m, n):
+        raise DimensionMismatch(f"gain shape {F.shape} != ({m}, {n})")
+    H = (factors.gpa + factors.gpb @ F).reshape(n, (n + m) * n, n)
+    M = operator_matrix(np.einsum("iwj,kwl->ijkl", H, H), n)
+    return float(np.sqrt(np.abs(np.linalg.eigvals(M)).max()))
 
 
 def candidate_gains(data):

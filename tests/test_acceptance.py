@@ -36,7 +36,6 @@ from stochlyap.sampled import discretize
 from stochlyap.simulate import decay_rate, run_ensemble, write_rms_csv
 from stochlyap.synthesis import (
     assemble,
-    closed_loop_rate,
     solve_feasibility,
     synthesize_min_lambda,
     verify_gain,
@@ -44,7 +43,7 @@ from stochlyap.synthesis import (
 from stochlyap.sysmodel import AffineForm, SwitchedForm
 
 from moment_oracles import expected_quadratic_factored, expected_quadratic_row_stacked
-from synthesis_oracles import candidate_gains
+from synthesis_oracles import candidate_gains, closed_loop_rate
 
 PUBLISHED_GAIN = np.array([[2.9242, 4.9123, -10.0501]])
 

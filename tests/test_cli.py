@@ -190,18 +190,25 @@ class TestSynthesizeAndExport:
         assert len(c) == 2  # one X scalar + one Y scalar
         assert sizes == [3, 1]
 
-    def test_export_backend_via_synthesize(self, control_model, tmp_path):
-        target = str(tmp_path / "prob2.dat-s")
-        out = run_cli(["synthesize", control_model, "--backend",
-                       f"sdpa-export:{target}", "--lambda", "0.9"])
-        assert out.returncode == 0
-        assert json.loads(out.stdout)["status"] == "exported"
+    def test_export_solution_round_trip(self, control_model, tmp_path):
+        # F = -0.2 gives rate sqrt(0.25 + 0.04) < 0.9, so (X, Y) = (1, -0.2) is strictly feasible
+        target = str(tmp_path / "prob.dat-s")
+        sol = tmp_path / "sol.out"
+        sol.write_text("xVec = {1.0, -0.2}\n")
+        out = run_cli(["export-sdpa", control_model, "--lambda", "0.9",
+                       "--out", target, "--solution", str(sol)])
+        assert out.returncode == 0, out.stderr
+        obj = json.loads(out.stdout)
+        assert obj["status"] == "feasible"
+        X, Y, F = (np.array(obj[k]) for k in ("X", "Y", "F"))
+        assert np.allclose(F, Y @ np.linalg.inv(X)) and F[0, 0] == pytest.approx(-0.2)
         assert os.path.exists(target)
 
-    def test_export_backend_requires_lambda(self, control_model, tmp_path):
-        out = run_cli(["synthesize", control_model, "--backend",
-                       f"sdpa-export:{tmp_path / 'x.dat-s'}"])
-        assert out.returncode == 1
+        sol.write_text("xVec = {0.0, 0.0}\n")
+        out = run_cli(["export-sdpa", control_model, "--lambda", "0.9",
+                       "--out", target, "--solution", str(sol)])
+        assert out.returncode == 1 and not out.stdout
+        assert out.stderr.startswith("error:") and len(out.stderr.splitlines()) == 1
 
 
 class TestReproCommands:
@@ -251,7 +258,9 @@ class TestMisc:
         csv = tmp_path / "rms.csv"
         for args in (["analyze"],
                      ["simulate", det_model, "--x0", "1,0", "--paths", "10", "--kmax", "2",
-                      "--out", str(csv), "--threads", "4"]):
+                      "--out", str(csv), "--threads", "4"],
+                     ["synthesize", det_model, "--backend", "ref"],
+                     ["analyze", det_model, "--seed", "3"]):
             r = run_cli(args)
             assert r.returncode == 1 and not r.stdout
             assert r.stderr.startswith("error:") and len(r.stderr.splitlines()) == 1

@@ -14,8 +14,6 @@ from stochlyap.dist import (
     Normal,
     Uniform,
     make_stream,
-    moment,
-    sample,
     substream,
 )
 from stochlyap.errors import StochLyapError, UnsupportedMoment
@@ -31,11 +29,11 @@ def quad_moment(pdf, p, lo, hi):
 class TestMoments:
     def test_normal_variance(self):
         spec = DistributionSpec((Normal(0.0, 0.2),))
-        assert moment(spec, (2,)) == pytest.approx(0.04, abs=1e-15)
+        assert spec.moment((2,)) == pytest.approx(0.04, abs=1e-15)
 
     def test_uniform_variance(self):
         spec = DistributionSpec((Uniform(-0.5, 0.5),))
-        assert moment(spec, (2,)) == pytest.approx(1.0 / 12.0, abs=1e-15)
+        assert spec.moment((2,)) == pytest.approx(1.0 / 12.0, abs=1e-15)
 
     def test_normal_fourth_vs_quadrature(self):
         sig = 0.2
@@ -43,15 +41,15 @@ class TestMoments:
         pdf = lambda x: np.exp(-0.5 * (x / sig) ** 2) / (sig * np.sqrt(2 * np.pi))
         oracle = quad_moment(pdf, 4, -8 * sig, 8 * sig)
         assert oracle == pytest.approx(3 * sig**4, abs=1e-10)
-        assert moment(spec, (4,)) == pytest.approx(oracle, abs=1e-10)
+        assert spec.moment((4,)) == pytest.approx(oracle, abs=1e-10)
 
     def test_exponential_second_vs_quadrature(self):
         rate = 20.0
         spec = DistributionSpec((Exponential(rate),))
         pdf = lambda x: rate * np.exp(-rate * x)
         oracle = quad_moment(pdf, 2, 0, 60.0 / rate)
-        assert moment(spec, (2,)) == pytest.approx(0.005, abs=1e-12)
-        assert moment(spec, (2,)) == pytest.approx(oracle, abs=1e-10)
+        assert spec.moment((2,)) == pytest.approx(0.005, abs=1e-12)
+        assert spec.moment((2,)) == pytest.approx(oracle, abs=1e-10)
 
     def test_shifted_normal_vs_quadrature(self):
         mu, sig = 0.7, 0.3
@@ -59,28 +57,28 @@ class TestMoments:
         spec = DistributionSpec((Normal(mu, sig),))
         for p in range(5):
             oracle = quad_moment(pdf, p, mu - 10 * sig, mu + 10 * sig)
-            assert moment(spec, (p,)) == pytest.approx(oracle, rel=1e-10)
+            assert spec.moment((p,)) == pytest.approx(oracle, rel=1e-10)
 
     def test_zero_index_is_one(self):
         spec = DistributionSpec(
             (Normal(1.0, 2.0), Uniform(-1.0, 3.0), Exponential(5.0),
              Discrete((1.0, 2.0), (0.25, 0.75)), Constant(4.0))
         )
-        assert moment(spec, (0, 0, 0, 0, 0)) == 1.0
+        assert spec.moment((0, 0, 0, 0, 0)) == 1.0
 
     def test_odd_moments_vanish_on_symmetric_coords(self):
         spec = DistributionSpec((Normal(0.0, 0.7), Uniform(-0.3, 0.3)))
         for alpha in [(1, 0), (0, 1), (3, 0), (0, 3), (1, 2), (2, 1), (3, 1), (1, 3)]:
-            assert moment(spec, alpha) == 0.0
+            assert spec.moment(alpha) == 0.0
 
     def test_product_structure(self):
         spec = DistributionSpec((Normal(0.0, 0.2), Uniform(-0.5, 0.5)))
-        assert moment(spec, (2, 2)) == pytest.approx(0.04 / 12.0, rel=1e-14)
+        assert spec.moment((2, 2)) == pytest.approx(0.04 / 12.0, rel=1e-14)
 
     def test_degree_cap(self):
         spec = DistributionSpec((Normal(0.0, 1.0), Uniform(0.0, 1.0)))
         with pytest.raises(UnsupportedMoment):
-            moment(spec, (3, 2))
+            spec.moment((3, 2))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -90,29 +88,29 @@ class TestMoments:
         hi = lo + width
         spec = DistributionSpec((Uniform(lo, hi),))
         oracle = quad_moment(lambda x: 1.0 / (hi - lo), p, lo, hi)
-        assert moment(spec, (p,)) == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+        assert spec.moment((p,)) == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(rate=st.floats(0.5, 40), p=st.integers(0, 4))
     def test_exponential_moments_match_quadrature(self, rate, p):
         spec = DistributionSpec((Exponential(rate),))
         oracle = quad_moment(lambda x: rate * np.exp(-rate * x), p, 0, 80.0 / rate)
-        assert moment(spec, (p,)) == pytest.approx(oracle, rel=1e-8)
+        assert spec.moment((p,)) == pytest.approx(oracle, rel=1e-8)
 
 
 class TestSampling:
     def test_constant_draw(self):
         spec = DistributionSpec((Constant(3.0),))
-        assert sample(spec, make_stream(0))[0] == 3.0
+        assert spec.sample_block(make_stream(0), 1)[0][0] == 3.0
 
     def test_single_atom_discrete(self):
         spec = DistributionSpec((Discrete((1.0,), (1.0,)),))
-        assert sample(spec, make_stream(5))[0] == 1.0
+        assert spec.sample_block(make_stream(5), 1)[0][0] == 1.0
 
     def test_seed_determinism(self):
         spec = DistributionSpec((Normal(0.0, 1.0), Uniform(-1.0, 1.0), Exponential(2.0)))
-        a = np.array([sample(spec, make_stream(123)) for _ in range(4)])
-        b = np.array([sample(spec, make_stream(123)) for _ in range(4)])
+        a = np.array([spec.sample_block(make_stream(123), 1)[0] for _ in range(4)])
+        b = np.array([spec.sample_block(make_stream(123), 1)[0] for _ in range(4)])
         assert np.array_equal(a, b)
 
     def test_substreams_differ(self):
@@ -134,7 +132,7 @@ class TestSampling:
         for alpha in [(2, 0), (0, 2), (1, 1), (2, 2), (4, 0)]:
             vals = draws[:, 0] ** alpha[0] * draws[:, 1] ** alpha[1]
             stderr = vals.std() / np.sqrt(len(vals))
-            assert abs(vals.mean() - moment(spec, alpha)) < 4 * stderr
+            assert abs(vals.mean() - spec.moment(alpha)) < 4 * stderr
 
     def test_discrete_frequencies(self):
         spec = DistributionSpec((Discrete((1.0, 2.0, 5.0), (0.2, 0.5, 0.3)),))

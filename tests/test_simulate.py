@@ -1,5 +1,7 @@
 """Ensemble estimates: exactness on deterministic systems, seed contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,19 @@ class TestRunEnsemble:
                            store_paths=True)
         assert res.path_sq.shape == (10, 5)
         assert np.array_equal(res.path_sq[0], 4.0 * 0.25 ** np.arange(5))
+
+
+    def test_memory_flat_in_path_count(self):
+        # without store_paths only one block of per-path squared norms is alive
+        def peak(n_paths):
+            tracemalloc.start()
+            try:
+                run_ensemble(example1_model(), [1.0, 0, 0], 100, n_paths, seed=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8_192) < 1.5 * peak(2_048)
 
 
 class TestSampledClosedLoopEnsemble:

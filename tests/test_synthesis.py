@@ -23,7 +23,6 @@ from stochlyap.synthesis import (
     _x_index_pairs,
     assemble,
     check_infeasibility,
-    closed_loop_rate,
     join_vars,
     solve_feasibility,
     split_vars,
@@ -32,7 +31,7 @@ from stochlyap.synthesis import (
 )
 from stochlyap.sysmodel import AffineForm, SwitchedForm
 
-from synthesis_oracles import candidate_gains
+from synthesis_oracles import candidate_gains, closed_loop_rate
 
 
 def det_pair(A, B):
@@ -442,8 +441,8 @@ class TestExample2Bisection:
         probes = []
         solve = synthesis.solve_feasibility
 
-        def recording(problem, backend="ref"):
-            res = solve(problem, backend)
+        def recording(problem):
+            res = solve(problem)
             probes.append((problem, res))
             return res
 
