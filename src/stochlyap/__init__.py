@@ -10,7 +10,6 @@ from .dist import (
     Exponential,
     Normal,
     Uniform,
-    make_stream,
     substream,
 )
 from .sysmodel import (
@@ -37,7 +36,6 @@ from .analysis import (
     build_operator,
     check_quadratic,
     lyapunov_certificate,
-    minimal_lambda,
     stability_report,
 )
 from .synthesis import (
@@ -48,20 +46,20 @@ from .synthesis import (
     synthesize_min_lambda,
     verify_gain,
 )
-from .simulate import EnsembleResult, attractivity_probe, decay_rate, run_ensemble
+from .simulate import EnsembleResult, decay_rate, run_ensemble
 
 __all__ = [
     "__version__",
     "Constant", "Discrete", "DistributionSpec", "Exponential", "Normal", "Uniform",
-    "make_stream", "substream",
+    "substream",
     "AffineForm", "PolyEntry", "PolyForm", "SampledDataForm", "SwitchedForm",
     "SystemModel", "model_from_obj",
     "ContinuousPlant", "discretize", "intersample_trajectory",
     "SecondMomentData", "RearrangedFactors", "expected_quadratic", "factorize",
     "second_moment_analytic", "second_moment_mc",
     "MomentOperatorMatrix", "StabilityReport", "build_operator", "check_quadratic",
-    "lyapunov_certificate", "minimal_lambda", "stability_report",
+    "lyapunov_certificate", "stability_report",
     "LmiProblem", "SynthesisResult", "assemble", "solve_feasibility",
     "synthesize_min_lambda", "verify_gain",
-    "EnsembleResult", "attractivity_probe", "decay_rate", "run_ensemble",
+    "EnsembleResult", "decay_rate", "run_ensemble",
 ]

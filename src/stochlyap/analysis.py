@@ -25,10 +25,8 @@ from .errors import (
     DimensionMismatch,
     InfeasibleLambda,
     StochLyapError,
-    UnsupportedForm,
 )
 from .moments import SecondMomentData, expected_quadratic, operator_matrix
-from .sysmodel import AffineForm, SwitchedForm, SystemModel
 
 #: Iteration cap after which power iteration defers to a dense eigensolver.
 POWER_ITERATION_CAP = 10_000
@@ -102,19 +100,9 @@ def spectral_radius(op: MomentOperatorMatrix, tol: float) -> float:
     return float(np.abs(ev).max())
 
 
-def minimal_lambda(op: MomentOperatorMatrix, tol: float = 1e-9) -> float:
-    """Minimal decay rate: the square root of the operator spectral radius.
-
-    This is the infimum of rates for which a Lyapunov matrix exists; the
-    infimum itself is generally not attained, so certificates should be
-    requested slightly above it.
-    """
-    return float(np.sqrt(spectral_radius(op, tol)))
-
-
 def lyapunov_certificate(
     op: MomentOperatorMatrix, data: SecondMomentData, lam: float
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """Lyapunov matrix ``P  > 0`` with ``lambda^2 P - E[A^T P A] = I``.
 
     Requires ``lam`` strictly above the minimal rate with some margin;
@@ -131,8 +119,10 @@ def lyapunov_certificate(
 
     Returns
     -------
-    numpy.ndarray
+    P : numpy.ndarray
         Symmetric positive definite ``n x n`` matrix.
+    residual : float
+        Smallest eigenvalue of ``lambda^2 P - E[A^T P A]``, at least 0.99.
     """
     if not lam > 0:
         raise StochLyapError("lambda must be positive")
@@ -146,12 +136,12 @@ def lyapunov_certificate(
     P = (P + P.T) / 2.0
     if np.linalg.eigvalsh(P)[0] <= 0:
         raise InfeasibleLambda(f"no positive definite Lyapunov matrix at lambda = {lam}")
-    resid = lam**2 * P - expected_quadratic(data, P)
-    if float(np.linalg.eigvalsh(resid)[0]) < 0.99:
+    resid = float(np.linalg.eigvalsh(lam**2 * P - expected_quadratic(data, P))[0])
+    if resid < 0.99:
         raise InfeasibleLambda(
             f"certificate residual check failed at lambda = {lam}"
         )
-    return P
+    return P, resid
 
 
 def check_quadratic(
@@ -170,45 +160,6 @@ def check_quadratic(
         raise StochLyapError("P must be symmetric")
     margin = float(np.linalg.eigvalsh(lam**2 * P - expected_quadratic(data, P))[0])
     return margin >= -1e-9 * float(np.linalg.norm(P, 2)), margin
-
-
-def special_case_lmi(model: SystemModel) -> list[tuple[float, np.ndarray]]:
-    """Weighted congruence pairs for the classical special-case LMIs.
-
-    For a switched model the pairs are ``(p_i, A[i])``; for an affine
-    model with zero-mean noise coordinates they are ``(1, A0)`` plus
-    ``(E[xi_i^2], A_i)``.  In both cases the induced map
-    ``P -> sum_i w_i M_i^T P M_i`` must coincide with the general moment
-    operator, which the property tests assert.
-    """
-    if isinstance(model, SwitchedForm):
-        return [(float(p), A) for p, A in zip(model.mode_probs, model.a_modes)]
-    if isinstance(model, AffineForm):
-        Z = model.Z
-        for i in range(Z):
-            e_i = tuple(1 if t == i else 0 for t in range(Z))
-            if model.dist.moment(e_i) != 0.0:
-                raise UnsupportedForm(
-                    "affine special case needs zero-mean noise coordinates"
-                )
-        pairs = [(1.0, model.a_mats[0])]
-        for i in range(Z):
-            e_i2 = tuple(2 if t == i else 0 for t in range(Z))
-            pairs.append((float(model.dist.moment(e_i2)), model.a_mats[i + 1]))
-        return pairs
-    raise UnsupportedForm(f"no special-case LMI for {type(model).__name__}")
-
-
-def operator_from_pairs(pairs, n: int) -> MomentOperatorMatrix:
-    """Moment operator of ``P -> sum_i w_i M_i^T P M_i``.
-
-    In row-vectorization coordinates each congruence contributes
-    ``(M_i kron M_i)^T``.
-    """
-    M = np.zeros((n * n, n * n))
-    for wgt, Mat in pairs:
-        M += wgt * np.kron(Mat, Mat).T
-    return MomentOperatorMatrix(M, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,12 +212,9 @@ def stability_report(data: SecondMomentData, tol: float = 1e-6) -> StabilityRepo
         if lam_cert >= 1.0:
             lam_cert = float(np.sqrt((rho + 1.0) / 2.0))
         try:
-            P = lyapunov_certificate(op, data, lam_cert)
+            P, resid = lyapunov_certificate(op, data, lam_cert)
         except InfeasibleLambda as exc:
             last = exc
             continue
-        resid = float(
-            np.linalg.eigvalsh(lam_cert**2 * P - expected_quadratic(data, P))[0]
-        )
         return StabilityReport(True, lam, P, lam_cert, resid, "spectral", tol)
     raise last

@@ -98,9 +98,8 @@ def _cmd_analyze(args) -> int:
     if args.lam is not None:
         op = analysis.build_operator(data)
         try:
-            P = analysis.lyapunov_certificate(op, data, args.lam)
-            ok, margin = analysis.check_quadratic(data, P, args.lam)
-            out["at_lambda"] = {"lambda": args.lam, "feasible": bool(ok), "margin": margin}
+            _, margin = analysis.lyapunov_certificate(op, data, args.lam)
+            out["at_lambda"] = {"lambda": args.lam, "feasible": True, "margin": margin}
         except StochLyapError:
             out["at_lambda"] = {"lambda": args.lam, "feasible": False, "margin": None}
     _emit(out, args.out)

@@ -9,12 +9,12 @@ require.
 Reproducibility policy
 ----------------------
 All sampling goes through ``numpy.random.Generator`` instances backed by
-the counter-based Philox bit generator (``philox-4x64-10``).  Streams are
-created with :func:`make_stream`; independent substreams for path or
-block ``i`` are derived with :func:`substream`, whose 128-bit Philox key
-is the pair ``(seed, i)``.  Distinct pairs give distinct keys, hence
-statistically independent streams, so runs with different seeds share no
-substream; the same key reproduces the same stream on every platform.
+the counter-based Philox bit generator (``philox-4x64-10``).  Every
+stream comes from :func:`substream`: path or block ``i`` of a run seeded
+``seed`` draws from the stream whose 128-bit Philox key is the pair
+``(seed, i)``.  Distinct pairs give distinct keys, hence statistically
+independent streams, so runs with different seeds share no substream;
+the same key reproduces the same stream on every platform.
 """
 
 from __future__ import annotations
@@ -30,22 +30,13 @@ from .errors import StochLyapError, UnsupportedMoment
 #: polynomial matrix entries: a product of two entries has degree <= 4.
 MAX_MOMENT_DEGREE = 4
 
-#: Identifier of the bit-generator algorithm behind every stream.
-RNG_ALGORITHM = "philox-4x64-10"
-
 _SEED_MASK = (1 << 64) - 1
-
-
-def make_stream(seed: int) -> np.random.Generator:
-    """Create the root random stream for a 64-bit seed."""
-    return np.random.Generator(np.random.Philox(key=seed & _SEED_MASK))
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
     """Derive the independent substream keyed by the pair ``(seed, index)``.
 
-    Both are taken modulo ``2^64``; ``substream(seed, 0)`` is
-    ``make_stream(seed)``.
+    Both are taken modulo ``2^64``.
     """
     key = ((index & _SEED_MASK) << 64) | (seed & _SEED_MASK)
     return np.random.Generator(np.random.Philox(key=key))

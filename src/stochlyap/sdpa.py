@@ -69,51 +69,12 @@ def write_problem(problem: LmiProblem, path: str) -> None:
     write_atomic(path, _problem_chunks(problem))
 
 
-def read_problem(path: str):
-    """Parse a ``.dat-s`` file back into dense matrices.
-
-    Returns ``(c, F, block_sizes)`` where ``F[0]`` is the constant
-    matrix and ``F[a]`` (``a >= 1``) the variable coefficient matrices,
-    each a list with one dense array per block.  Intended for testing
-    the writer and for feeding external solvers.
-    """
-    tokens: list[str] = []
-    with open(path) as f:
-        for line in f:
-            s = line.strip()
-            if not s or s.startswith('"') or s.startswith("*"):
-                continue
-            s = s.split("=")[0]
-            for ch in ",{}()":
-                s = s.replace(ch, " ")
-            tokens.extend(s.split())
-    pos = 0
-
-    def take(k):
-        nonlocal pos
-        out = tokens[pos: pos + k]
-        pos += k
-        return out
-
-    m = int(take(1)[0])
-    nblocks = int(take(1)[0])
-    sizes = [abs(int(float(t))) for t in take(nblocks)]
-    c = np.array([float(t) for t in take(m)])
-    F = [[np.zeros((s, s)) for s in sizes] for _ in range(m + 1)]
-    while pos + 5 <= len(tokens):
-        matno, blk, i, j, val = take(5)
-        matno, blk, i, j = int(matno), int(blk), int(i), int(j)
-        v = float(val)
-        F[matno][blk - 1][i - 1, j - 1] = v
-        F[matno][blk - 1][j - 1, i - 1] = v
-    return c, F, sizes
-
-
 def read_solution_vector(path: str, num_vars: int) -> np.ndarray:
     """Extract the primal variable vector from an SDPA solver output file.
 
     Accepts the standard SDPA output (an ``xVec = {...}`` section) or a
     plain text file of ``num_vars`` whitespace/comma separated floats.
+    Any other count of numbers raises :class:`BackendFailure`.
     """
     with open(path) as f:
         text = f.read()
@@ -123,8 +84,8 @@ def read_solution_vector(path: str, num_vars: int) -> np.ndarray:
     else:
         body = text
     values = re.findall(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?", body)
-    if len(values) < num_vars:
+    if len(values) != num_vars:
         raise BackendFailure(
             f"solution file has {len(values)} numbers, expected {num_vars}"
         )
-    return np.array([float(v) for v in values[:num_vars]])
+    return np.array([float(v) for v in values])

@@ -151,28 +151,6 @@ def decay_rate(result: EnsembleResult, k1: int = 50, k2: int = 100) -> float:
     return float((b / a) ** (1.0 / (k2 - k1)))
 
 
-def attractivity_probe(
-    model: SystemModel,
-    x0_set,
-    k_max: int,
-    n_paths: int,
-    seed: int,
-    threshold: float,
-) -> list[bool]:
-    """Empirical attractivity check per initial state.
-
-    True when ``rms[k_max] / rms[0] < threshold``.  This is a sampling
-    proxy for the second moment tending to zero, not a certificate.
-    """
-    if not 0.0 < threshold < 1.0:
-        raise StochLyapError("threshold must lie in (0, 1)")
-    out = []
-    for x0 in x0_set:
-        r = run_ensemble(model, x0, k_max, n_paths, seed)
-        out.append(bool(r.rms[k_max] < threshold * r.rms[0]))
-    return out
-
-
 def write_rms_csv(result: EnsembleResult, path: str) -> None:
     """Write ``k,rms`` rows with 17 significant digits, atomically."""
     lines = ["k,rms"]

@@ -92,15 +92,6 @@ def split_vars(v: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
-def join_vars(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Pack ``(X, Y)`` into the variable vector (inverse of :func:`split_vars`)."""
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    return np.concatenate(
-        [np.array([X[i, j] for i, j in _x_index_pairs(n)]), np.asarray(Y, float).ravel()]
-    )
-
-
 #: Record layout of :attr:`LmiProblem.basis`: the coefficient block of
 #: variable ``var`` has the entry ``val`` at ``(row, col)`` (0-based).
 ENTRY_DTYPE = np.dtype(
@@ -364,8 +355,8 @@ def import_solution(problem: LmiProblem, path: str) -> FeasibilityResult:
     Raises
     ------
     BackendFailure
-        Too few numbers in the file, or a point that is not strictly
-        feasible.
+        A count of numbers other than ``problem.num_vars`` in the file,
+        or a point that is not strictly feasible.
     """
     from . import sdpa
 

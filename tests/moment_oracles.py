@@ -8,11 +8,16 @@ None of these is used by the library itself:
 * :func:`expected_quadratic_factored` and
   :func:`expected_quadratic_row_stacked` evaluate ``P -> E[A^T P A]``
   through the stacked factor and through the row-product matrix, two
-  routes independent of the library's contraction.
+  routes independent of the library's contraction;
+* :func:`special_case_lmi` and :func:`operator_from_pairs` build the
+  textbook operators of the classical special cases (i.i.d. switching,
+  zero-mean multiplicative noise), which must equal the general one.
 """
 
 import numpy as np
 
+from stochlyap.analysis import MomentOperatorMatrix
+from stochlyap.errors import UnsupportedForm
 from stochlyap.moments import factorize
 from stochlyap.sysmodel import AffineForm, PolyEntry, PolyForm, SwitchedForm
 
@@ -84,3 +89,42 @@ def expected_quadratic_row_stacked(data, P):
     ae2 = G4.transpose(3, 1, 0, 2).reshape(n, n**3)
     out = ae2 @ np.kron(np.eye(n), P.reshape(n * n, 1))
     return (out + out.T) / 2.0
+
+
+def special_case_lmi(model):
+    """Weighted congruence pairs for the classical special-case LMIs.
+
+    For a switched model the pairs are ``(p_i, A[i])``; for an affine
+    model with zero-mean noise coordinates they are ``(1, A0)`` plus
+    ``(E[xi_i^2], A_i)``.  In both cases the induced map
+    ``P -> sum_i w_i M_i^T P M_i`` must coincide with the general moment
+    operator.
+    """
+    if isinstance(model, SwitchedForm):
+        return [(float(p), A) for p, A in zip(model.mode_probs, model.a_modes)]
+    if isinstance(model, AffineForm):
+        Z = model.Z
+        for i in range(Z):
+            e_i = tuple(1 if t == i else 0 for t in range(Z))
+            if model.dist.moment(e_i) != 0.0:
+                raise UnsupportedForm(
+                    "affine special case needs zero-mean noise coordinates"
+                )
+        pairs = [(1.0, model.a_mats[0])]
+        for i in range(Z):
+            e_i2 = tuple(2 if t == i else 0 for t in range(Z))
+            pairs.append((float(model.dist.moment(e_i2)), model.a_mats[i + 1]))
+        return pairs
+    raise UnsupportedForm(f"no special-case LMI for {type(model).__name__}")
+
+
+def operator_from_pairs(pairs, n):
+    """Moment operator of ``P -> sum_i w_i M_i^T P M_i``.
+
+    In row-vectorization coordinates each congruence contributes
+    ``(M_i kron M_i)^T``.
+    """
+    M = np.zeros((n * n, n * n))
+    for wgt, Mat in pairs:
+        M += wgt * np.kron(Mat, Mat).T
+    return MomentOperatorMatrix(M, n)

@@ -1,4 +1,4 @@
-"""Best-achievable-rate oracle for the synthesis tests.
+"""Reference code for the synthesis tests.
 
 None of this is used by the library itself.  :func:`closed_loop_rate` is
 the dense-``eigvals`` reference for the rate of a gain; :func:`candidate_gains`
@@ -6,6 +6,9 @@ collects closed-form gains (zero, factor least-squares, the Riccati gain
 of the mean system) and refines the best of them by two Nelder-Mead runs
 on the exact closed-loop rate, so ``min(closed_loop_rate(factors, F))``
 over its output is a near-optimal rate that shares no code with the LMI.
+:func:`join_vars` packs ``(X, Y)`` into the LMI's variable vector, and
+:func:`read_problem` parses an SDPA ``.dat-s`` file back into dense
+matrices.
 """
 
 import numpy as np
@@ -55,3 +58,51 @@ def candidate_gains(data):
                      "maxfev": 800 * m * n},
         ).x
     return [x.reshape(m, n)] + cands
+
+
+def join_vars(X, Y):
+    """Pack ``(X, Y)`` into the variable vector (inverse of ``split_vars``).
+
+    Layout: upper triangle of ``X`` row-major, then ``Y`` row-major.
+    """
+    X = np.asarray(X, dtype=float)
+    return np.concatenate([X[np.triu_indices(X.shape[0])], np.asarray(Y, float).ravel()])
+
+
+def read_problem(path):
+    """Parse a ``.dat-s`` file back into dense matrices.
+
+    Returns ``(c, F, block_sizes)`` where ``F[0]`` is the constant
+    matrix and ``F[a]`` (``a >= 1``) the variable coefficient matrices,
+    each a list with one dense array per block.
+    """
+    tokens = []
+    with open(path) as f:
+        for line in f:
+            s = line.strip()
+            if not s or s.startswith('"') or s.startswith("*"):
+                continue
+            s = s.split("=")[0]
+            for ch in ",{}()":
+                s = s.replace(ch, " ")
+            tokens.extend(s.split())
+    pos = 0
+
+    def take(k):
+        nonlocal pos
+        out = tokens[pos: pos + k]
+        pos += k
+        return out
+
+    m = int(take(1)[0])
+    nblocks = int(take(1)[0])
+    sizes = [abs(int(float(t))) for t in take(nblocks)]
+    c = np.array([float(t) for t in take(m)])
+    F = [[np.zeros((s, s)) for s in sizes] for _ in range(m + 1)]
+    while pos + 5 <= len(tokens):
+        matno, blk, i, j, val = take(5)
+        matno, blk, i, j = int(matno), int(blk), int(i), int(j)
+        v = float(val)
+        F[matno][blk - 1][i - 1, j - 1] = v
+        F[matno][blk - 1][j - 1, i - 1] = v
+    return c, F, sizes

@@ -16,13 +16,7 @@ import numpy as np
 import pytest
 
 from stochlyap import sdpa
-from stochlyap.analysis import (
-    build_operator,
-    minimal_lambda,
-    operator_from_pairs,
-    special_case_lmi,
-    stability_report,
-)
+from stochlyap.analysis import build_operator, spectral_radius, stability_report
 from stochlyap.demo_models import example1_model, example2_model
 from stochlyap.dist import Discrete, DistributionSpec, Normal, Uniform, substream
 from stochlyap.errors import NotStabilizable
@@ -42,8 +36,13 @@ from stochlyap.synthesis import (
 )
 from stochlyap.sysmodel import AffineForm, SwitchedForm
 
-from moment_oracles import expected_quadratic_factored, expected_quadratic_row_stacked
-from synthesis_oracles import candidate_gains, closed_loop_rate
+from moment_oracles import (
+    expected_quadratic_factored,
+    expected_quadratic_row_stacked,
+    operator_from_pairs,
+    special_case_lmi,
+)
+from synthesis_oracles import candidate_gains, closed_loop_rate, read_problem
 
 PUBLISHED_GAIN = np.array([[2.9242, 4.9123, -10.0501]])
 
@@ -272,7 +271,7 @@ class TestCriterion8:
             model = AffineForm((A, np.zeros((n, n))),
                                DistributionSpec((Constant(0.0),)))
             op = build_operator(second_moment_analytic(model))
-            lam = minimal_lambda(op, tol=1e-12)
+            lam = np.sqrt(spectral_radius(op, 1e-12))
             rho = float(np.abs(np.linalg.eigvals(A)).max())
             worst = max(worst, abs(lam - rho))
             assert abs(lam - rho) <= 1e-10
@@ -280,7 +279,7 @@ class TestCriterion8:
             model = AffineForm((np.zeros((1, 1)), np.eye(1)),
                                DistributionSpec((Normal(0.0, sig),)))
             op = build_operator(second_moment_analytic(model))
-            assert abs(minimal_lambda(op, tol=1e-12) - sig) <= 1e-10
+            assert abs(np.sqrt(spectral_radius(op, 1e-12)) - sig) <= 1e-10
         report(8, f"lambda_min = rho(A) to 1e-10 on 20 random deterministic "
                   f"systems (worst {worst:.2e}); scalar sigma sweep exact")
 
@@ -324,7 +323,7 @@ def external_feasibility(problem, tmp_path, tag):
     cvxpy = pytest.importorskip("cvxpy", reason="external SDP solver unavailable")
     path = str(tmp_path / f"{tag}.dat-s")
     sdpa.write_problem(problem, path)
-    c, F, sizes = sdpa.read_problem(path)
+    c, F, sizes = read_problem(path)
     nvars = len(F) - 1
     x = cvxpy.Variable(nvars)
     t = cvxpy.Variable()

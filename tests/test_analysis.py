@@ -7,9 +7,6 @@ from stochlyap.analysis import (
     build_operator,
     check_quadratic,
     lyapunov_certificate,
-    minimal_lambda,
-    operator_from_pairs,
-    special_case_lmi,
     spectral_radius,
     stability_report,
 )
@@ -18,6 +15,8 @@ from stochlyap.dist import Constant, Discrete, DistributionSpec, Normal, Uniform
 from stochlyap.errors import InfeasibleLambda, UnsupportedForm
 from stochlyap.moments import expected_quadratic, second_moment_analytic
 from stochlyap.sysmodel import AffineForm, SwitchedForm
+
+from moment_oracles import operator_from_pairs, special_case_lmi
 
 
 def deterministic(A):
@@ -105,19 +104,19 @@ class TestBuildOperator:
 class TestMinimalLambda:
     def test_scalar_noise(self):
         op = build_operator(second_moment_analytic(scalar_noise(0.5)))
-        assert minimal_lambda(op, 1e-10) == pytest.approx(0.5, abs=1e-12)
+        assert np.sqrt(spectral_radius(op, 1e-10)) == pytest.approx(0.5, abs=1e-12)
 
     def test_deterministic_diag(self):
         op = build_operator(second_moment_analytic(deterministic(np.diag([0.5, 0.8]))))
-        assert minimal_lambda(op, 1e-10) == pytest.approx(0.8, abs=1e-10)
+        assert np.sqrt(spectral_radius(op, 1e-10)) == pytest.approx(0.8, abs=1e-10)
 
     def test_example1_reference_value(self):
         op = build_operator(second_moment_analytic(example1_model()))
-        assert minimal_lambda(op, 1e-6) == pytest.approx(0.9219, abs=1e-3)
+        assert np.sqrt(spectral_radius(op, 1e-6)) == pytest.approx(0.9219, abs=1e-3)
 
     def test_unstable_switched(self):
         op = build_operator(second_moment_analytic(switched_scalar()))
-        assert minimal_lambda(op, 1e-10) == pytest.approx(np.sqrt(2.0), abs=1e-10)
+        assert np.sqrt(spectral_radius(op, 1e-10)) == pytest.approx(np.sqrt(2.0), abs=1e-10)
 
     def test_deterministic_reduction_random(self):
         rng = np.random.default_rng(7)
@@ -125,12 +124,12 @@ class TestMinimalLambda:
             A = rng.normal(size=(3, 3))
             op = build_operator(second_moment_analytic(deterministic(A)))
             rho = np.abs(np.linalg.eigvals(A)).max()
-            assert abs(minimal_lambda(op, 1e-12) - rho) < 1e-10
+            assert abs(np.sqrt(spectral_radius(op, 1e-12)) - rho) < 1e-10
 
     @pytest.mark.parametrize("sig", [0.1, 0.5, 0.9, 1.2])
     def test_scalar_sigma_sweep(self, sig):
         op = build_operator(second_moment_analytic(scalar_noise(sig)))
-        assert abs(minimal_lambda(op, 1e-12) - sig) < 1e-10
+        assert abs(np.sqrt(spectral_radius(op, 1e-12)) - sig) < 1e-10
 
     @pytest.mark.parametrize("period", [2, 3])
     def test_cyclic_switching_needs_no_dense_fallback(self, period, monkeypatch):
@@ -151,14 +150,14 @@ class TestMinimalLambda:
 
     def test_zero_system(self):
         op = build_operator(second_moment_analytic(deterministic(np.zeros((2, 2)))))
-        assert minimal_lambda(op, 1e-9) == 0.0
+        assert np.sqrt(spectral_radius(op, 1e-9)) == 0.0
 
 
 class TestCertificate:
     def test_scalar_closed_form(self):
         data = second_moment_analytic(scalar_noise(0.5))
         op = build_operator(data)
-        P = lyapunov_certificate(op, data, 0.6)
+        P, _ = lyapunov_certificate(op, data, 0.6)
         assert P[0, 0] == pytest.approx(1.0 / (0.36 - 0.25), rel=1e-12)
 
     def test_truncated_series_oracle(self):
@@ -168,7 +167,7 @@ class TestCertificate:
         data = second_moment_analytic(deterministic(A))
         op = build_operator(data)
         lam = 0.9
-        P = lyapunov_certificate(op, data, lam)
+        P, _ = lyapunov_certificate(op, data, lam)
         series = np.zeros((3, 3))
         Ak = np.eye(3)
         for k in range(200):
@@ -180,7 +179,7 @@ class TestCertificate:
     def test_example1_feasible_above_min(self):
         data = second_moment_analytic(example1_model())
         op = build_operator(data)
-        P = lyapunov_certificate(op, data, 0.93)
+        P, _ = lyapunov_certificate(op, data, 0.93)
         assert np.linalg.eigvalsh(P)[0] > 0
         resid = 0.93**2 * P - expected_quadratic(data, P)
         assert np.abs(resid - np.eye(3)).max() < 1e-8
@@ -195,7 +194,7 @@ class TestCertificate:
         data = second_moment_analytic(deterministic(np.zeros((2, 2))))
         op = build_operator(data)
         lam = 0.5
-        P = lyapunov_certificate(op, data, lam)
+        P, _ = lyapunov_certificate(op, data, lam)
         assert np.allclose(P, np.eye(2) / lam**2, atol=1e-14)
 
     def test_feasibility_threshold_both_directions(self):
@@ -206,8 +205,8 @@ class TestCertificate:
             model = AffineForm((A0, A1), DistributionSpec((Normal(0.0, 0.8),)))
             data = second_moment_analytic(model)
             op = build_operator(data)
-            lam = minimal_lambda(op, 1e-10)
-            P = lyapunov_certificate(op, data, lam * 1.05)
+            lam = np.sqrt(spectral_radius(op, 1e-10))
+            P, _ = lyapunov_certificate(op, data, lam * 1.05)
             ok, _ = check_quadratic(data, P, lam * 1.05)
             assert ok
             with pytest.raises(InfeasibleLambda):
@@ -224,7 +223,7 @@ class TestCheckQuadratic:
     def test_certificate_margin_is_one(self):
         data = second_moment_analytic(example1_model())
         op = build_operator(data)
-        P = lyapunov_certificate(op, data, 0.95)
+        P, _ = lyapunov_certificate(op, data, 0.95)
         ok, margin = check_quadratic(data, P, 0.95)
         assert ok
         assert margin == pytest.approx(1.0, abs=1e-8)
@@ -232,7 +231,7 @@ class TestCheckQuadratic:
     def test_monotone_in_lambda(self):
         data = second_moment_analytic(example1_model())
         op = build_operator(data)
-        P = lyapunov_certificate(op, data, 0.93)
+        P, _ = lyapunov_certificate(op, data, 0.93)
         ok1, m1 = check_quadratic(data, P, 0.93)
         ok2, m2 = check_quadratic(data, P, 0.99)
         assert ok1 and ok2 and m2 > m1
@@ -240,7 +239,7 @@ class TestCheckQuadratic:
     def test_scale_invariant_boolean(self):
         data = second_moment_analytic(example1_model())
         op = build_operator(data)
-        P = lyapunov_certificate(op, data, 0.94)
+        P, _ = lyapunov_certificate(op, data, 0.94)
         for c in (1e-6, 1.0, 1e6):
             assert check_quadratic(data, c * P, 0.94)[0]
 

@@ -8,10 +8,12 @@ import sys
 import numpy as np
 import pytest
 
-from stochlyap import cli, demo_models, sampled
+from stochlyap import analysis, cli, demo_models, moments, sampled
 from stochlyap.dist import substream
 from stochlyap.simulate import run_ensemble, write_rms_csv
 from stochlyap.sysmodel import model_from_obj
+
+from synthesis_oracles import read_problem
 
 RUN = [sys.executable, "-m", "stochlyap.cli"]
 
@@ -79,6 +81,10 @@ class TestAnalyze:
         out = run_cli(["analyze", det_model, "--lambda", "0.9"])
         at = json.loads(out.stdout)["at_lambda"]
         assert at["feasible"] is True and at["margin"] > 0
+        with open(det_model) as f:
+            data = moments.second_moment_analytic(model_from_obj(json.load(f)))
+        _, resid = analysis.lyapunov_certificate(analysis.build_operator(data), data, 0.9)
+        assert at["margin"] == resid
         out = run_cli(["analyze", det_model, "--lambda", "0.7"])
         assert json.loads(out.stdout)["at_lambda"]["feasible"] is False
 
@@ -184,9 +190,7 @@ class TestSynthesizeAndExport:
         out = run_cli(["export-sdpa", control_model, "--lambda", "0.9",
                        "--out", target])
         assert out.returncode == 0
-        from stochlyap import sdpa
-
-        c, F, sizes = sdpa.read_problem(target)
+        c, F, sizes = read_problem(target)
         assert len(c) == 2  # one X scalar + one Y scalar
         assert sizes == [3, 1]
 
@@ -209,6 +213,16 @@ class TestSynthesizeAndExport:
                        "--out", target, "--solution", str(sol)])
         assert out.returncode == 1 and not out.stdout
         assert out.stderr.startswith("error:") and len(out.stderr.splitlines()) == 1
+
+    def test_export_solution_wrong_count(self, control_model, tmp_path):
+        # a feasible point padded with three stray numbers, for a 2-variable problem
+        sol = tmp_path / "sol.out"
+        sol.write_text("xVec = {1.0, -0.2, 0.5, 7.0, 3.0}\n")
+        out = run_cli(["export-sdpa", control_model, "--lambda", "0.9",
+                       "--out", str(tmp_path / "prob.dat-s"), "--solution", str(sol)])
+        assert out.returncode == 1 and not out.stdout
+        assert out.stderr.startswith("error:") and len(out.stderr.splitlines()) == 1
+        assert "5 numbers, expected 2" in out.stderr
 
 
 class TestReproCommands:

@@ -13,7 +13,6 @@ from stochlyap.dist import (
     Exponential,
     Normal,
     Uniform,
-    make_stream,
     substream,
 )
 from stochlyap.errors import StochLyapError, UnsupportedMoment
@@ -101,16 +100,16 @@ class TestMoments:
 class TestSampling:
     def test_constant_draw(self):
         spec = DistributionSpec((Constant(3.0),))
-        assert spec.sample_block(make_stream(0), 1)[0][0] == 3.0
+        assert spec.sample_block(substream(0, 0), 1)[0][0] == 3.0
 
     def test_single_atom_discrete(self):
         spec = DistributionSpec((Discrete((1.0,), (1.0,)),))
-        assert spec.sample_block(make_stream(5), 1)[0][0] == 1.0
+        assert spec.sample_block(substream(5, 0), 1)[0][0] == 1.0
 
     def test_seed_determinism(self):
         spec = DistributionSpec((Normal(0.0, 1.0), Uniform(-1.0, 1.0), Exponential(2.0)))
-        a = np.array([spec.sample_block(make_stream(123), 1)[0] for _ in range(4)])
-        b = np.array([spec.sample_block(make_stream(123), 1)[0] for _ in range(4)])
+        a = np.array([spec.sample_block(substream(123, 0), 1)[0] for _ in range(4)])
+        b = np.array([spec.sample_block(substream(123, 0), 1)[0] for _ in range(4)])
         assert np.array_equal(a, b)
 
     def test_substreams_differ(self):
@@ -122,13 +121,13 @@ class TestSampling:
     def test_law_of_large_numbers_normal(self):
         # spec example: 1e6 draws of N(0, 0.2), mean within 1e-3, var within 2e-3
         spec = DistributionSpec((Normal(0.0, 0.2),))
-        draws = spec.sample_block(make_stream(2024), 1_000_000)[:, 0]
+        draws = spec.sample_block(substream(2024, 0), 1_000_000)[:, 0]
         assert abs(draws.mean()) < 1e-3
         assert abs(draws.var() - 0.04) < 2e-3
 
     def test_monte_carlo_matches_closed_form_moments(self):
         spec = DistributionSpec((Uniform(-0.5, 0.5), Exponential(10.0)))
-        draws = spec.sample_block(make_stream(7), 1_000_000)
+        draws = spec.sample_block(substream(7, 0), 1_000_000)
         for alpha in [(2, 0), (0, 2), (1, 1), (2, 2), (4, 0)]:
             vals = draws[:, 0] ** alpha[0] * draws[:, 1] ** alpha[1]
             stderr = vals.std() / np.sqrt(len(vals))
@@ -136,7 +135,7 @@ class TestSampling:
 
     def test_discrete_frequencies(self):
         spec = DistributionSpec((Discrete((1.0, 2.0, 5.0), (0.2, 0.5, 0.3)),))
-        draws = spec.sample_block(make_stream(11), 200_000)[:, 0]
+        draws = spec.sample_block(substream(11, 0), 200_000)[:, 0]
         freq = [(draws == v).mean() for v in (1.0, 2.0, 5.0)]
         assert np.allclose(freq, [0.2, 0.5, 0.3], atol=0.01)
 

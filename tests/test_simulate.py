@@ -6,15 +6,10 @@ import numpy as np
 import pytest
 
 from stochlyap.demo_models import example1_model
-from stochlyap.dist import Constant, Discrete, DistributionSpec, Normal
+from stochlyap.dist import Constant, DistributionSpec, Normal
 from stochlyap.errors import DegenerateWindow, StochLyapError
-from stochlyap.simulate import (
-    attractivity_probe,
-    decay_rate,
-    run_ensemble,
-    write_rms_csv,
-)
-from stochlyap.sysmodel import AffineForm, SwitchedForm
+from stochlyap.simulate import decay_rate, run_ensemble, write_rms_csv
+from stochlyap.sysmodel import AffineForm
 
 
 def deterministic_scalar(a):
@@ -125,7 +120,7 @@ class TestSampledClosedLoopEnsemble:
     def test_certified_rate_bounds_ensemble_estimate(self):
         # randomized version of the analysis/simulation coherence check:
         # the certified minimal rate upper-bounds the observed decay
-        from stochlyap.analysis import build_operator, minimal_lambda
+        from stochlyap.analysis import build_operator, spectral_radius
         from stochlyap.moments import second_moment_analytic
         from stochlyap.dist import Uniform
 
@@ -133,7 +128,7 @@ class TestSampledClosedLoopEnsemble:
         dist = DistributionSpec((Normal(0.0, 0.4), Uniform(-0.3, 0.3)))
         model = AffineForm(tuple(rng.normal(size=(3, 3)) * s
                                  for s in (0.35, 0.2, 0.2)), dist)
-        lam = minimal_lambda(build_operator(second_moment_analytic(model)), 1e-9)
+        lam = np.sqrt(spectral_radius(build_operator(second_moment_analytic(model)), 1e-9))
         assert lam < 1.0
         res = run_ensemble(model, [1.0, 0.0, 0.0], 100, 20_000, seed=13)
         assert decay_rate(res, 50, 100) <= lam + 0.01
@@ -161,41 +156,6 @@ class TestDecayRate:
         res = run_ensemble(deterministic_scalar(0.0), [1.0], 5, 16, seed=0)
         with pytest.raises(DegenerateWindow):
             decay_rate(res, 0, 5)
-
-
-class TestAttractivity:
-    def test_certified_stable_system(self):
-        # lambda_min ~ 0.92, so 200 steps shrink the norm to ~6e-8
-        out = attractivity_probe(
-            example1_model(), [[1.0, 0.0, 0.0]], 200, 2000, seed=6, threshold=0.01
-        )
-        assert out == [True]
-
-    def test_unstable_switched(self):
-        # modes {2, 0.5}: E[x_k^2] = 2.125^k and sample paths do show growth
-        dist = DistributionSpec((Discrete((1.0, 2.0), (0.5, 0.5)),))
-        model = SwitchedForm((np.array([[2.0]]), np.array([[0.5]])), dist)
-        out = attractivity_probe(model, [[1.0]], 100, 2000, seed=7, threshold=0.01)
-        assert out == [False]
-
-    def test_probe_is_not_certifying(self):
-        # modes {2, 0}: unstable in the second moment (rho = 2), yet the
-        # zero mode absorbs every finite sample path, so the empirical
-        # probe reports attractive.  This is the documented failure mode.
-        dist = DistributionSpec((Discrete((1.0, 2.0), (0.5, 0.5)),))
-        model = SwitchedForm((np.array([[2.0]]), np.array([[0.0]])), dist)
-        out = attractivity_probe(model, [[1.0]], 100, 2000, seed=7, threshold=0.01)
-        assert out == [True]
-
-    def test_zero_dynamics(self):
-        out = attractivity_probe(
-            deterministic_scalar(0.0), [[1.0]], 1, 16, seed=8, threshold=0.5
-        )
-        assert out == [True]
-
-    def test_threshold_validated(self):
-        with pytest.raises(StochLyapError):
-            attractivity_probe(deterministic_scalar(0.0), [[1.0]], 1, 4, 0, 1.5)
 
 
 class TestCsv:

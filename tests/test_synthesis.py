@@ -23,7 +23,6 @@ from stochlyap.synthesis import (
     _x_index_pairs,
     assemble,
     check_infeasibility,
-    join_vars,
     solve_feasibility,
     split_vars,
     synthesize_min_lambda,
@@ -31,7 +30,7 @@ from stochlyap.synthesis import (
 )
 from stochlyap.sysmodel import AffineForm, SwitchedForm
 
-from synthesis_oracles import candidate_gains, closed_loop_rate
+from synthesis_oracles import candidate_gains, closed_loop_rate, join_vars, read_problem
 
 
 def det_pair(A, B):
@@ -53,7 +52,7 @@ def scalar_noise_pair(sig=0.5):
 def solve_parsed_sdpa(path):
     """Independent feasibility check: parse the exported file, hand it to cvxpy."""
     cvxpy = pytest.importorskip("cvxpy", reason="external SDP solver unavailable")
-    c, F, sizes = sdpa.read_problem(path)
+    c, F, sizes = read_problem(path)
     nvars = len(F) - 1
     x = cvxpy.Variable(nvars)
     t = cvxpy.Variable()
@@ -187,7 +186,7 @@ class TestEntryList:
                                rtol=0, atol=1e-12)
         path = str(tmp_path / "prob.dat-s")
         sdpa.write_problem(problem, path)
-        _, F, _ = sdpa.read_problem(path)
+        _, F, _ = read_problem(path)
         for a in range(problem.num_vars):
             assert np.array_equal(F[a + 1][0], S[a])
 
@@ -283,7 +282,7 @@ class TestSdpaExport:
         problem, _ = self.make_problem()
         path = str(tmp_path / "prob.dat-s")
         sdpa.write_problem(problem, path)
-        c, F, sizes = sdpa.read_problem(path)
+        c, F, sizes = read_problem(path)
         assert sizes == [problem.dim, problem.n]
         assert np.array_equal(c, np.zeros(problem.num_vars))
         assert np.allclose(F[0][0], problem.margin * np.eye(problem.dim))
@@ -302,7 +301,7 @@ class TestSdpaExport:
         sdpa.write_problem(zero, str(path))
         lines = path.read_text().splitlines()
         assert not any(line.startswith("0 ") for line in lines)
-        _, F, _ = sdpa.read_problem(str(path))
+        _, F, _ = read_problem(str(path))
         assert not F[0][0].any() and not F[0][1].any()
 
     def test_export_backend_statuses(self, tmp_path):
@@ -340,6 +339,17 @@ class TestSdpaExport:
         sol.write_text("1.5 -2.0 3e-1\n")
         v = sdpa.read_solution_vector(str(sol), 3)
         assert np.array_equal(v, [1.5, -2.0, 0.3])
+
+    @pytest.mark.parametrize("text", [
+        "xVec = {1.0, -0.2, 0.5, 7.0, 3.0}\n",
+        "1.0 -0.2 0.5 7.0 3.0\n",
+        "xVec = {1.0}\n",
+    ], ids=["xvec-5", "plain-5", "xvec-1"])
+    def test_reader_rejects_other_counts(self, tmp_path, text):
+        sol = tmp_path / "sol.txt"
+        sol.write_text(text)
+        with pytest.raises(BackendFailure, match="expected 2"):
+            sdpa.read_solution_vector(str(sol), 2)
 
     def test_external_solver_agrees(self, tmp_path):
         # noise the gain cannot cancel keeps the optimal rate well above 0
