@@ -18,7 +18,7 @@ class NoInputChannel(StochLyapError):
 
 
 class UnsupportedMoment(StochLyapError):
-    """Requested mixed moment exceeds the implemented degree cap."""
+    """Requested moment exceeds the implemented degree cap or is infinite."""
 
 
 class UnsupportedForm(StochLyapError):

@@ -26,7 +26,14 @@ import numpy as np
 from .dist import substream
 from .errors import DimensionMismatch, NonFiniteSample, NotPSD, StochLyapError, UnsupportedForm
 from .fileio import write_atomic
-from .sysmodel import AffineForm, PolyForm, SwitchedForm, SystemModel
+from .sysmodel import (
+    AffineForm,
+    ClosedLoopSampledForm,
+    PolyForm,
+    SampledDataForm,
+    SwitchedForm,
+    SystemModel,
+)
 
 #: Samples per Monte-Carlo block.  Block ``b`` draws from
 #: ``substream(seed, b)``, and block sums are added in block order, so
@@ -211,6 +218,12 @@ def second_moment_analytic(model: SystemModel) -> SecondMomentData:
                             Analytic(), model.n, model.m, model.Z)
 
 
+def _check_finite(model: SystemModel) -> None:
+    """Sampled-data forms can have an infinite second moment; polynomial forms cannot."""
+    if isinstance(model, (SampledDataForm, ClosedLoopSampledForm)):
+        model.check_second_moment()
+
+
 def _mc_block(model: SystemModel, seed: int, block: int, count: int):
     rng = substream(seed, block)
     Xi = model.dist.sample_block(rng, count)
@@ -231,6 +244,9 @@ def second_moment_mc(model: SystemModel, samples: int, seed: int) -> SecondMomen
     block ``b`` uses ``substream(seed, b)``, so different seeds share no
     block.
 
+    Raises :class:`UnsupportedMoment` before any draw when the model's
+    second moment is infinite (:meth:`SampledDataForm.check_second_moment`).
+
     Parameters
     ----------
     model : SystemModel
@@ -247,6 +263,7 @@ def second_moment_mc(model: SystemModel, samples: int, seed: int) -> SecondMomen
     """
     if samples < 1000:
         raise StochLyapError("Monte-Carlo moments need at least 1000 samples")
+    _check_finite(model)
     n, m = model.n, model.m
     w = (n + m) * n
     counts = [MC_BLOCK] * (samples // MC_BLOCK)
@@ -347,8 +364,10 @@ def load_moments(path: str, model: SystemModel) -> SecondMomentData:
     """Read moment data written by :func:`save_moments` for ``model``.
 
     Raises :class:`StochLyapError` unless the file records the
-    fingerprint of exactly that model.
+    fingerprint of exactly that model, and :class:`UnsupportedMoment`
+    when that model's second moment is infinite.
     """
+    _check_finite(model)
     with open(path) as f:
         obj = json.load(f)
     if obj.get("model_sha256") != model_fingerprint(model):

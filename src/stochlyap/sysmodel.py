@@ -26,6 +26,7 @@ from .errors import (
     NoInputChannel,
     StochLyapError,
     UnsupportedForm,
+    UnsupportedMoment,
 )
 
 #: Highest polynomial degree of a matrix entry.  Products of two entries
@@ -402,6 +403,28 @@ class SampledDataForm(SystemModel):
         Xi = self._check_block(Xi)
         return _sampled.discretize_batch(self.plant, self.interval(Xi))
 
+    def check_second_moment(self) -> None:
+        """Raise :class:`UnsupportedMoment` unless ``E[exp(h K)]`` is finite.
+
+        Products of two coefficient entries are entries of
+        ``exp(h K)``, ``K = Aug ⊕ Aug`` (Kronecker sum of the augmented
+        generator).  Under an exponential interval coordinate of rate
+        ``r`` the expectation exists only when ``r > scale * max Re eig K``;
+        bounded interval laws always pass.
+        """
+        law = self.dist.coords[self.coord]
+        if self.scale == 0 or not isinstance(law, Exponential):
+            return
+        aug = _sampled._augmented(self.plant)
+        eye = np.eye(len(aug))
+        K = np.kron(aug, eye) + np.kron(eye, aug)
+        bound = self.scale * float(np.linalg.eigvals(K).real.max())
+        if not law.rate > bound:
+            raise UnsupportedMoment(
+                f"second moment is infinite: exponential interval rate {law.rate:g} "
+                f"must exceed the bound scale * max Re eig(Aug (+) Aug) = {bound:.6g}"
+            )
+
     def closed_loop(self, F):
         F = self._check_gain(F)
         return ClosedLoopSampledForm(self, F)
@@ -438,6 +461,10 @@ class ClosedLoopSampledForm(SystemModel):
     def evaluate_block(self, Xi):
         A, B = self.base.evaluate_block(Xi)
         return A + B @ self.F, None
+
+    def check_second_moment(self) -> None:
+        """:meth:`SampledDataForm.check_second_moment` of the open-loop model."""
+        self.base.check_second_moment()
 
     def closed_loop(self, F):
         raise NoInputChannel("model has no input channel (m = 0)")

@@ -97,6 +97,23 @@ class TestAnalyze:
         assert out.returncode == 1
         assert "error" in out.stderr
 
+    def test_divergent_sampled_moment_exits_1(self, tmp_path):
+        paths = {}
+        for rate in (0.5, 2.5):
+            paths[rate] = tmp_path / f"sampled_{rate}.json"
+            paths[rate].write_text(json.dumps({
+                "form": "sampled", "plant": {"A_c": [[1.0]], "B_c": [[1.0]]},
+                "interval": {"offset": 0.01},
+                "dist": {"coords": [{"exponential": {"rate": rate}}]},
+            }))
+        out = run_cli(["analyze", str(paths[0.5])])
+        assert out.returncode == 1 and not out.stdout
+        assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1
+        assert "rate 0.5" in out.stderr and "= 2" in out.stderr
+        finite = run_cli(["analyze", str(paths[2.5])])
+        assert finite.returncode == 2
+        assert json.loads(finite.stdout)["report"]["stable"] is False
+
     def test_missing_file(self):
         out = run_cli(["analyze", "/nonexistent/model.json"])
         assert out.returncode == 1

@@ -7,7 +7,13 @@ import pytest
 
 from stochlyap.demo_models import example1_model
 from stochlyap.dist import Constant, Discrete, DistributionSpec, Exponential, Normal, Uniform
-from stochlyap.errors import NonFiniteSample, NotPSD, StochLyapError, UnsupportedForm
+from stochlyap.errors import (
+    NonFiniteSample,
+    NotPSD,
+    StochLyapError,
+    UnsupportedForm,
+    UnsupportedMoment,
+)
 from stochlyap.moments import (
     MC_BLOCK,
     Analytic,
@@ -21,7 +27,9 @@ from stochlyap.moments import (
     second_moment_analytic,
     second_moment_mc,
 )
-from stochlyap.sysmodel import AffineForm, PolyEntry, PolyForm, SwitchedForm
+from stochlyap import moments
+from stochlyap.sampled import ContinuousPlant
+from stochlyap.sysmodel import AffineForm, PolyEntry, PolyForm, SampledDataForm, SwitchedForm
 
 from moment_oracles import (
     expected_quadratic_factored,
@@ -184,6 +192,42 @@ class TestMonteCarlo:
 
         with pytest.raises(NonFiniteSample):
             second_moment_mc(Exploding(), 2000, seed=0)
+
+
+def growing_sampled(rate, law=None):
+    """``dx/dt = x + u`` with ``h = 0.01 + xi``; ``max Re eig(Aug (+) Aug) = 2``."""
+    law = Exponential(rate) if law is None else law
+    return SampledDataForm(ContinuousPlant(np.eye(1), np.eye(1)),
+                           DistributionSpec((law,)), offset=0.01)
+
+
+class TestSampledMomentExists:
+    @pytest.mark.parametrize("rate", [0.5, 2.0])
+    def test_divergent_moment_is_typed_error(self, rate, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("sampled before the existence check")
+
+        monkeypatch.setattr(moments, "_mc_block", no_draws)
+        model = growing_sampled(rate)
+        for form in (model, model.closed_loop([[-1.0]])):
+            with pytest.raises(UnsupportedMoment, match=f"rate {rate:g} .* = 2$"):
+                second_moment_mc(form, 100_000, seed=0)
+
+    def test_finite_moment_still_runs(self):
+        data = second_moment_mc(growing_sampled(2.5), 5000, seed=0)
+        assert np.isfinite(data.g2).all() and data.g2[0, 0] > 1.0
+
+    def test_bounded_interval_laws_unaffected(self):
+        for law in (Uniform(0.0, 5.0), Discrete((0.5, 3.0), (0.5, 0.5)), Constant(4.0)):
+            data = second_moment_mc(growing_sampled(None, law), 2000, seed=0)
+            assert np.isfinite(data.g2).all()
+
+    def test_cache_of_divergent_model_rejected(self, tmp_path):
+        path = str(tmp_path / "moments.json")
+        model = growing_sampled(0.5)
+        save_moments(second_moment_mc(growing_sampled(2.5), 2000, seed=0), path, model)
+        with pytest.raises(UnsupportedMoment):
+            load_moments(path, model)
 
 
 class TestFactorize:

@@ -1,14 +1,18 @@
-"""Discretization against truncated-series oracles; intersample propagation."""
+"""Discretization against truncated-series oracles; the stacked exponential;
+intersample propagation."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from stochlyap.demo_models import example2_model
 from stochlyap.errors import DimensionMismatch, StochLyapError
 from stochlyap.sampled import (
+    _EXPM_CHUNK,
     ContinuousPlant,
     discretize,
     discretize_batch,
+    expm_stack,
     intersample_trajectory,
 )
 
@@ -73,6 +77,21 @@ class TestDiscretize:
             assert np.array_equal(A_b[i], A_s)
             assert np.array_equal(B_b[i], B_s)
 
+    def test_empty_batch_shapes(self):
+        plant = ContinuousPlant(np.zeros((3, 3)), np.zeros((3, 2)))
+        A_b, B_b = discretize_batch(plant, np.array([]))
+        assert A_b.shape == (0, 3, 3) and B_b.shape == (0, 3, 2)
+
+    def test_scalar_h_rejected(self):
+        plant = ContinuousPlant(np.eye(1), np.eye(1))
+        with pytest.raises(DimensionMismatch, match="one-dimensional"):
+            discretize_batch(plant, 0.5)
+
+    def test_two_dimensional_h_rejected(self):
+        plant = ContinuousPlant(np.eye(1), np.eye(1))
+        with pytest.raises(DimensionMismatch, match="one-dimensional"):
+            discretize_batch(plant, np.full((2, 3), 0.1))
+
     def test_invalid_interval(self):
         plant = ContinuousPlant(np.eye(1), np.eye(1))
         with pytest.raises(StochLyapError):
@@ -80,11 +99,63 @@ class TestDiscretize:
         with pytest.raises(StochLyapError):
             discretize(plant, np.inf)
 
+    def test_overflowing_interval_is_typed_error(self):
+        plant = ContinuousPlant(np.eye(2), np.ones((2, 1)))
+        with pytest.raises(StochLyapError, match="1-norm is not finite"):
+            discretize(plant, 1e308)
+
     def test_plant_validation(self):
         with pytest.raises(DimensionMismatch):
             ContinuousPlant(np.zeros((2, 3)), np.zeros((2, 1)))
         with pytest.raises(DimensionMismatch):
             ContinuousPlant(np.zeros((2, 2)), np.zeros((3, 1)))
+
+
+def random_stack(rng, k, count):
+    """``count`` Gaussian ``k x k`` slices with 1-norms log-uniform in [1e-8, 50]."""
+    M = rng.standard_normal((count, k, k))
+    norms = np.exp(rng.uniform(np.log(1e-8), np.log(50.0), count))
+    return M * (norms / np.abs(M).sum(axis=1).max(axis=1))[:, None, None]
+
+
+def rel_fro(E, R):
+    return np.linalg.norm(E - R, axis=(1, 2)) / np.linalg.norm(R, axis=(1, 2))
+
+
+class TestExpmStack:
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_matches_scipy(self, k):
+        # scipy's own error on these stacks reaches ~1e-12 (see the mpmath test)
+        M = random_stack(np.random.default_rng(k), k, 200)
+        assert rel_fro(expm_stack(M), scipy.linalg.expm(M)).max() < 1e-11
+
+    def test_matches_high_precision_oracle(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2005)
+        with mpmath.workdps(40):
+            for k in range(2, 9):
+                M = random_stack(rng, k, 6)
+                ref = np.array([np.array(mpmath.expm(mpmath.matrix(S.tolist())).tolist(),
+                                         dtype=float) for S in M])
+                assert rel_fro(expm_stack(M), ref).max() < 1e-13
+
+    def test_zero_stack_is_identity(self):
+        assert np.array_equal(expm_stack(np.zeros((5, 4, 4))), np.broadcast_to(np.eye(4), (5, 4, 4)))
+
+    def test_empty_stack(self):
+        assert expm_stack(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+
+    def test_slices_independent_of_batch(self):
+        model = example2_model()
+        rng = np.random.default_rng(3)
+        count = 3000
+        assert count > 2 * _EXPM_CHUNK
+        hs = model.interval(model.dist.sample_block(rng, count))
+        hs[::7] *= 40.0  # some slices need several squarings
+        A_b, B_b = discretize_batch(model.plant, hs)
+        for i, h in enumerate(hs):
+            A_s, B_s = discretize_batch(model.plant, hs[i: i + 1])
+            assert np.array_equal(A_b[i], A_s[0]) and np.array_equal(B_b[i], B_s[0])
 
 
 class TestIntersample:
