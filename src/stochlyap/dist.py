@@ -254,6 +254,30 @@ class DistributionSpec:
                 out *= c.raw_moment(a)
         return out
 
+    def moment_table(self, degree: int) -> np.ndarray:
+        """Raw moments ``E[xi_q^d]`` as a ``(Z, degree + 1)`` array.
+
+        Column 0 is exactly 1.0, as in :meth:`moment`, which skips zero
+        exponents: a :class:`Discrete` law's ``raw_moment(0)`` is
+        ``sum(probs)``, which can miss 1 in the last bit.  Raises
+        :class:`UnsupportedMoment` above :data:`MAX_MOMENT_DEGREE` and
+        when a raw moment overflows or is not finite.
+        """
+        if degree > MAX_MOMENT_DEGREE:
+            raise UnsupportedMoment(f"degree {degree} exceeds cap {MAX_MOMENT_DEGREE}")
+        table = np.ones((self.Z, degree + 1))
+        for q, c in enumerate(self.coords):
+            try:
+                table[q, 1:] = [c.raw_moment(d) for d in range(1, degree + 1)]
+            except OverflowError:
+                table[q, 1:] = np.inf
+            if not np.isfinite(table[q]).all():
+                raise UnsupportedMoment(
+                    f"raw moments of coordinate {q} {c.to_obj()} up to degree {degree} "
+                    "overflow or are not finite"
+                )
+        return table
+
     def to_obj(self):
         return {"coords": [c.to_obj() for c in self.coords]}
 

@@ -24,16 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import substream
-from .errors import DimensionMismatch, NonFiniteSample, NotPSD, StochLyapError, UnsupportedForm
-from .fileio import write_atomic
-from .sysmodel import (
-    AffineForm,
-    ClosedLoopSampledForm,
-    PolyForm,
-    SampledDataForm,
-    SwitchedForm,
-    SystemModel,
+from .errors import (
+    DimensionMismatch,
+    NonFiniteSample,
+    NotPSD,
+    StochLyapError,
+    UnsupportedForm,
+    UnsupportedMoment,
 )
+from .fileio import write_atomic
+from .sysmodel import ClosedLoopSampledForm, CoefficientForm, SampledDataForm, SystemModel
 
 #: Samples per Monte-Carlo block.  Block ``b`` draws from
 #: ``substream(seed, b)``, and block sums are added in block order, so
@@ -162,59 +162,27 @@ def _flat_to_mean(flat: np.ndarray, n: int, m: int) -> np.ndarray:
     return np.hstack([flat[: n * n].reshape(n, n), flat[n * n:].reshape(n, m)])
 
 
-def _rows(a_mats, b_mats) -> np.ndarray:
-    """One row ``[row(A_k), row(B_k)]`` per coefficient pair (no ``B`` when ``m = 0``)."""
-    mats = [a_mats] + ([] if b_mats is None else [b_mats])
-    return np.hstack([np.stack(M).reshape(len(a_mats), -1) for M in mats])
+def second_moment_analytic(model: SystemModel) -> SecondMomentData:
+    """Exact second-moment data read off the model's coefficient form.
 
-
-def _coefficient_basis(model: SystemModel):
-    """Write ``g(xi) = phi(xi)^T C`` and return ``(C, E[phi phi^T], E[phi])``.
-
-    ``C`` has one row per basis function: ``phi = [1, xi]`` for affine
-    forms, the distinct monomials of the entries for polynomial forms,
-    and the mode indicators for switched forms, whose moments are
-    ``diag(p)`` and ``p``.
+    Every exact form is linear in a few basis functions,
+    ``g(xi) = phi(xi)^T C`` (:class:`~stochlyap.sysmodel.CoefficientForm`),
+    so ``G2 = C^T E[phi phi^T] C`` and ``E[g] = C^T E[phi]`` need only the
+    ``K x K`` moments of ``phi``.  Supported for affine, switched and
+    polynomial forms; sampled-data models have no closed-form moments
+    here and must use :func:`second_moment_mc`.  Raises
+    :class:`UnsupportedMoment` when a moment overflows.
     """
-    if isinstance(model, SwitchedForm):
-        p = model.mode_probs
-        return _rows(model.a_modes, model.b_modes), np.diag(p), p
-    Z = model.Z
-    if isinstance(model, AffineForm):
-        alphas = [(0,) * Z] + [tuple(int(t == q) for t in range(Z)) for q in range(Z)]
-        C = _rows(model.a_mats, model.b_mats)
-    elif isinstance(model, PolyForm):
-        entries = [e for row in model.a_entries for e in row]
-        entries += [e for row in model.b_entries or () for e in row]
-        alphas = sorted({alpha for e in entries for _, alpha in e.terms})
-        row_of = {alpha: k for k, alpha in enumerate(alphas)}
-        C = np.zeros((len(alphas), len(entries)))
-        for u, e in enumerate(entries):
-            for coeff, alpha in e.terms:
-                C[row_of[alpha], u] = coeff
-    else:
+    if not isinstance(model, CoefficientForm):
         raise UnsupportedForm(
             f"no analytic moments for {type(model).__name__}; use second_moment_mc"
         )
-    phi2 = np.array([[model.dist.moment(tuple(x + y for x, y in zip(a, b))) for b in alphas]
-                     for a in alphas]).reshape(len(alphas), len(alphas))
-    mu = np.array([model.dist.moment(a) for a in alphas])
-    return C, phi2, mu
-
-
-def second_moment_analytic(model: SystemModel) -> SecondMomentData:
-    """Exact second-moment data from the coefficient basis.
-
-    Every exact form is linear in a few basis functions,
-    ``g(xi) = phi(xi)^T C``, so ``G2 = C^T E[phi phi^T] C`` and
-    ``E[g] = C^T E[phi]`` need only the ``K x K`` moments of ``phi``.
-    Supported for affine, switched and polynomial forms; sampled-data
-    models have no closed-form moments here and must use
-    :func:`second_moment_mc`.
-    """
-    C, phi2, mu = _coefficient_basis(model)
-    g2 = C.T @ phi2 @ C  # symmetric only up to rounding, which can exceed the 1e-12 check
-    return SecondMomentData((g2 + g2.T) / 2.0, _flat_to_mean(C.T @ mu, model.n, model.m),
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi2, mu = model.basis_moments()
+        g2 = model.C.T @ phi2 @ model.C  # symmetric only up to rounding, which can exceed the 1e-12 check
+    if not np.isfinite(g2).all():
+        raise UnsupportedMoment(f"the second moment of the {type(model).__name__} overflows")
+    return SecondMomentData((g2 + g2.T) / 2.0, _flat_to_mean(model.C.T @ mu, model.n, model.m),
                             Analytic(), model.n, model.m, model.Z)
 
 

@@ -7,6 +7,14 @@ Four concrete forms share one interface:
 * ``PolyForm``        every entry a polynomial of degree <= 2 in xi.
 * ``SampledDataForm`` A(xi) = exp(A_c h(xi)) with a random interval h.
 
+The three exact forms are front-ends of one :class:`CoefficientForm`:
+each is linear in a few basis functions, ``g(xi) = phi(xi)^T C`` with
+``g = [row(A), row(B)]``, and ``phi`` is ``[1, xi]`` (affine), the
+distinct monomials of the entries (polynomial) or the mode indicators
+(switched).  Evaluation, closing the loop and the moments of ``phi``
+are written once, on the coefficient form.  The sampled-data forms are
+not linear in a finite basis and stay separate.
+
 Models are immutable.  ``m = 0`` means analysis-only (no input channel);
 ``closed_loop`` folds a static gain into the model and always yields an
 analysis-only model.
@@ -67,28 +75,6 @@ class PolyEntry:
     def constant(value: float, Z: int) -> "PolyEntry":
         return PolyEntry(((value, (0,) * Z),))
 
-    @staticmethod
-    def combine(parts) -> "PolyEntry":
-        """Linear combination ``sum_k weight_k * entry_k`` with term merging."""
-        acc: dict = {}
-        for weight, entry in parts:
-            for coeff, alpha in entry.terms:
-                acc[alpha] = acc.get(alpha, 0.0) + weight * coeff
-        return PolyEntry(tuple((c, a) for a, c in acc.items()))
-
-    def eval_block(self, Xi: np.ndarray) -> np.ndarray:
-        """Evaluate on a ``(count, Z)`` block of parameter vectors."""
-        out = np.zeros(Xi.shape[0])
-        for c, alpha in self.terms:
-            term = np.full(Xi.shape[0], c)
-            for i, a in enumerate(alpha):
-                if a == 1:
-                    term = term * Xi[:, i]
-                elif a > 1:
-                    term = term * Xi[:, i] ** a
-            out += term
-        return out
-
     def to_obj(self):
         return {"terms": [[c, list(a)] for c, a in self.terms]}
 
@@ -143,8 +129,70 @@ class SystemModel:
         raise NotImplementedError
 
 
+class CoefficientForm(SystemModel):
+    """Internal base of the exact forms: ``g(xi) = phi(xi)^T C``.
+
+    ``C`` has one row ``[row(A_k), row(B_k)]`` per basis function
+    ``phi_k``.  By default ``phi`` is the monomials ``xi^alpha`` whose
+    multi-indices (total degree <= 2) are the rows of ``exponents``; each
+    is the product of two columns of ``[1, xi]``, never a float power.
+    A front-end calls :meth:`_set_coefficients` in its constructor, and
+    its ``_analysis_model(A)`` rebuilds it without input from the
+    closed-loop basis matrices ``A[k] = A_k + B_k F``.
+    """
+
+    C: np.ndarray
+    exponents: np.ndarray | None
+
+    def _set_coefficients(self, a_mats, b_mats, exponents) -> None:
+        A = np.asarray(a_mats, dtype=float)
+        K, n = A.shape[:2]
+        B = np.zeros((K, n, 0)) if b_mats is None else np.asarray(b_mats, dtype=float)
+        C = np.hstack([A.reshape(K, n * n), B.reshape(K, n * B.shape[2])])
+        if not np.isfinite(C).all():
+            raise StochLyapError(f"{type(self).__name__} has a non-finite coefficient")
+        pairs = None
+        if exponents is not None:
+            cols = [[0, 0] + [q + 1 for q, a in enumerate(alpha) for _ in range(a)]
+                    for alpha in exponents.tolist()]
+            pairs = np.array([c[-2:] for c in cols], dtype=int).reshape(K, 2).T
+        # the front-ends are frozen dataclasses: derived attributes bypass __setattr__
+        vars(self).update(C=C, n=n, m=B.shape[2], exponents=exponents, _pairs=pairs)
+
+    def basis_block(self, Xi: np.ndarray) -> np.ndarray:
+        """``phi`` on a ``(count, Z)`` block, as a ``(count, K)`` array."""
+        cols = np.hstack([np.ones((Xi.shape[0], 1)), Xi])
+        return cols[:, self._pairs[0]] * cols[:, self._pairs[1]]
+
+    def basis_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(E[phi phi^T], E[phi])``, gathered from the raw-moment table.
+
+        ``E[xi^(a+b)]`` is the product over coordinates ``q`` of
+        ``E[xi_q^(a_q + b_q)]``, multiplied in coordinate order.
+        """
+        E = self.exponents
+        phi2, mu = np.ones((len(E), len(E))), np.ones(len(E))
+        for q, row in enumerate(self.dist.moment_table(2 * int(E.max(initial=0)))):
+            phi2 *= row[E[:, q, None] + E[None, :, q]]
+            mu *= row[E[:, q]]
+        return phi2, mu
+
+    def evaluate_block(self, Xi):
+        Xi = self._check_block(Xi)
+        g = self.basis_block(Xi) @ self.C
+        n, nn = self.n, self.n * self.n
+        B = None if self.m == 0 else g[:, nn:].reshape(-1, n, self.m)
+        return g[:, :nn].reshape(-1, n, n), B
+
+    def closed_loop(self, F):
+        F = self._check_gain(F)
+        K, n, nn = len(self.C), self.n, self.n * self.n
+        A, B = self.C[:, :nn].reshape(K, n, n), self.C[:, nn:].reshape(K, n, self.m)
+        return self._analysis_model(A + B @ F)
+
+
 @dataclass(frozen=True, eq=False)
-class AffineForm(SystemModel):
+class AffineForm(CoefficientForm):
     """Affine parameter dependence ``A(xi) = A0 + sum_i Ai xi_i``."""
 
     a_mats: tuple
@@ -164,32 +212,13 @@ class AffineForm(SystemModel):
             m = np.atleast_2d(np.asarray(self.b_mats[0])).shape[1]
             b = tuple(_as_matrix(np.atleast_2d(M), n, m, f"B{i}") for i, M in enumerate(self.b_mats))
             object.__setattr__(self, "b_mats", b)
+        self._set_coefficients(a, self.b_mats, np.vstack([np.zeros(Z, int), np.eye(Z, dtype=int)]))
 
-    @property
-    def n(self) -> int:
-        return self.a_mats[0].shape[0]
+    # a binding of its own: bench/tracing.py wraps vars(cls)["evaluate_block"]
+    evaluate_block = CoefficientForm.evaluate_block
 
-    @property
-    def m(self) -> int:
-        return 0 if self.b_mats is None else self.b_mats[0].shape[1]
-
-    def evaluate_block(self, Xi):
-        Xi = self._check_block(Xi)
-        A = np.broadcast_to(self.a_mats[0], (Xi.shape[0], self.n, self.n)).copy()
-        for i in range(self.Z):
-            A += Xi[:, i, None, None] * self.a_mats[i + 1]
-        if self.b_mats is None:
-            return A, None
-        B = np.broadcast_to(self.b_mats[0], (Xi.shape[0], self.n, self.m)).copy()
-        for i in range(self.Z):
-            B += Xi[:, i, None, None] * self.b_mats[i + 1]
-        return A, B
-
-    def closed_loop(self, F):
-        F = self._check_gain(F)
-        return AffineForm(
-            tuple(A + B @ F for A, B in zip(self.a_mats, self.b_mats)), self.dist
-        )
+    def _analysis_model(self, A):
+        return AffineForm(tuple(A), self.dist)
 
     def to_obj(self):
         obj = {"form": "affine", "n": self.n, "Z": self.Z,
@@ -201,11 +230,12 @@ class AffineForm(SystemModel):
 
 
 @dataclass(frozen=True, eq=False)
-class SwitchedForm(SystemModel):
+class SwitchedForm(CoefficientForm):
     """Mode switching ``A(xi) = A[xi]`` driven by a discrete coordinate.
 
     The distribution must be a single :class:`~stochlyap.dist.Discrete`
-    coordinate over the exact mode indices ``1..S``.
+    coordinate over the exact mode indices ``1..S``.  The basis is the
+    mode indicators, with moments ``diag(p)`` and ``p``.
     """
 
     a_modes: tuple
@@ -229,14 +259,7 @@ class SwitchedForm(SystemModel):
             raise StochLyapError("switched form needs a single Discrete coordinate")
         if tuple(self.dist.coords[0].values) != tuple(float(i) for i in range(1, S + 1)):
             raise StochLyapError(f"mode distribution values must be exactly 1..{S}")
-
-    @property
-    def n(self) -> int:
-        return self.a_modes[0].shape[0]
-
-    @property
-    def m(self) -> int:
-        return 0 if self.b_modes is None else self.b_modes[0].shape[1]
+        self._set_coefficients(a, self.b_modes, None)
 
     @property
     def mode_probs(self) -> np.ndarray:
@@ -250,18 +273,17 @@ class SwitchedForm(SystemModel):
             raise InvalidMode(f"switch value {raw[bad][0]} outside modes 1..{len(self.a_modes)}")
         return idx - 1
 
-    def evaluate_block(self, Xi):
-        Xi = self._check_block(Xi)
-        idx = self._mode_indices(Xi)
-        A = np.stack(self.a_modes)[idx]
-        B = None if self.b_modes is None else np.stack(self.b_modes)[idx]
-        return A, B
+    def basis_block(self, Xi):
+        return np.eye(len(self.a_modes))[self._mode_indices(Xi)]
 
-    def closed_loop(self, F):
-        F = self._check_gain(F)
-        return SwitchedForm(
-            tuple(A + B @ F for A, B in zip(self.a_modes, self.b_modes)), self.dist
-        )
+    def basis_moments(self):
+        return np.diag(self.mode_probs), self.mode_probs
+
+    # a binding of its own: bench/tracing.py wraps vars(cls)["evaluate_block"]
+    evaluate_block = CoefficientForm.evaluate_block
+
+    def _analysis_model(self, A):
+        return SwitchedForm(tuple(A), self.dist)
 
     def to_obj(self):
         obj = {"form": "switched", "n": self.n, "Z": 1,
@@ -273,8 +295,11 @@ class SwitchedForm(SystemModel):
 
 
 @dataclass(frozen=True, eq=False)
-class PolyForm(SystemModel):
-    """Entrywise polynomial dependence of degree at most 2."""
+class PolyForm(CoefficientForm):
+    """Entrywise polynomial dependence of degree at most 2.
+
+    The basis is the distinct monomials of the entries, in sorted order.
+    """
 
     a_entries: tuple
     dist: DistributionSpec
@@ -285,61 +310,37 @@ class PolyForm(SystemModel):
         n = len(a)
         if n < 1 or any(len(row) != n for row in a):
             raise DimensionMismatch("A entry grid must be square")
-        self._check_grid(a)
+        grids = [a]
         object.__setattr__(self, "a_entries", a)
         if self.b_entries is not None:
             b = tuple(tuple(row) for row in self.b_entries)
             if len(b) != n or len({len(row) for row in b}) != 1:
                 raise DimensionMismatch("B entry grid must be n x m")
-            self._check_grid(b)
+            grids.append(b)
             object.__setattr__(self, "b_entries", b)
-
-    def _check_grid(self, grid):
-        for row in grid:
-            for e in row:
-                if not isinstance(e, PolyEntry):
-                    raise StochLyapError("grid entries must be PolyEntry")
-                for _, alpha in e.terms:
-                    if len(alpha) != self.dist.Z:
-                        raise DimensionMismatch(
-                            f"multi-index length {len(alpha)} != Z = {self.dist.Z}"
-                        )
-
-    @property
-    def n(self) -> int:
-        return len(self.a_entries)
-
-    @property
-    def m(self) -> int:
-        return 0 if self.b_entries is None else len(self.b_entries[0])
-
-    def evaluate_block(self, Xi):
-        Xi = self._check_block(Xi)
-
-        def grid_eval(grid, cols):
-            out = np.empty((Xi.shape[0], self.n, cols))
+        if not all(isinstance(e, PolyEntry) for g in grids for row in g for e in row):
+            raise StochLyapError("grid entries must be PolyEntry")
+        alphas = sorted({alpha for g in grids for row in g for e in row for _, alpha in e.terms})
+        for alpha in alphas:
+            if len(alpha) != self.dist.Z:
+                raise DimensionMismatch(f"multi-index length {len(alpha)} != Z = {self.dist.Z}")
+        row_of = {alpha: k for k, alpha in enumerate(alphas)}
+        stacks = [np.zeros((len(alphas), n, len(g[0]))) for g in grids]
+        for S, grid in zip(stacks, grids):
             for i, row in enumerate(grid):
                 for j, e in enumerate(row):
-                    out[:, i, j] = e.eval_block(Xi)
-            return out
+                    for coeff, alpha in e.terms:
+                        S[row_of[alpha], i, j] = coeff
+        self._set_coefficients(stacks[0], stacks[1] if len(stacks) > 1 else None,
+                               np.array(alphas, dtype=int).reshape(-1, self.dist.Z))
 
-        A = grid_eval(self.a_entries, self.n)
-        B = None if self.b_entries is None else grid_eval(self.b_entries, self.m)
-        return A, B
+    # a binding of its own: bench/tracing.py wraps vars(cls)["evaluate_block"]
+    evaluate_block = CoefficientForm.evaluate_block
 
-    def closed_loop(self, F):
-        F = self._check_gain(F)
-        new = tuple(
-            tuple(
-                PolyEntry.combine(
-                    [(1.0, self.a_entries[i][j])]
-                    + [(F[q, j], self.b_entries[i][q]) for q in range(self.m)]
-                )
-                for j in range(self.n)
-            )
-            for i in range(self.n)
-        )
-        return PolyForm(new, self.dist)
+    def _analysis_model(self, A):
+        alphas = [tuple(a) for a in self.exponents.tolist()]
+        return PolyForm(tuple(tuple(PolyEntry(tuple(zip(A[:, i, j], alphas))) for j in range(self.n))
+                              for i in range(self.n)), self.dist)
 
     def to_obj(self):
         obj = {"form": "poly", "n": self.n, "Z": self.Z,
@@ -475,34 +476,45 @@ class ClosedLoopSampledForm(SystemModel):
 
 
 def model_from_obj(obj: dict) -> SystemModel:
-    """Decode a model from its JSON object form."""
+    """Decode a model from its JSON object form.
+
+    A missing or malformed value raises :class:`StochLyapError` naming the
+    form and the key.
+    """
+    if not isinstance(obj, dict):
+        raise StochLyapError(f"a model must be a JSON object, not {type(obj).__name__}")
     form = obj.get("form")
-    dist = None if "dist" not in obj else DistributionSpec.from_obj(obj["dist"])
+
+    def read(key, decode, optional=False):
+        try:
+            return None if optional and key not in obj else decode(obj[key])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            detail = "missing" if key not in obj else f"malformed ({exc!r})"
+            raise StochLyapError(f"{form} model: key {key!r} {detail}") from exc
+
+    def mats(value):
+        return tuple(np.asarray(M, float) for M in value)
+
+    def grid(rows):
+        return tuple(tuple(PolyEntry(tuple((c, tuple(a)) for c, a in e["terms"])) for e in row)
+                     for row in rows)
+
     if form == "affine":
-        a = tuple(np.asarray(M, float) for M in obj["A"])
-        b = None if "B" not in obj else tuple(np.asarray(M, float) for M in obj["B"])
-        return AffineForm(a, dist, b)
+        return AffineForm(read("A", mats), read("dist", DistributionSpec.from_obj),
+                          read("B", mats, optional=True))
     if form == "switched":
-        a = tuple(np.asarray(M, float) for M in obj["modes"])
-        b = None if "B_modes" not in obj else tuple(np.asarray(M, float) for M in obj["B_modes"])
-        return SwitchedForm(a, dist, b)
+        return SwitchedForm(read("modes", mats), read("dist", DistributionSpec.from_obj),
+                            read("B_modes", mats, optional=True))
     if form == "poly":
-        def grid(rows):
-            return tuple(
-                tuple(PolyEntry(tuple((c, tuple(a)) for c, a in e["terms"])) for e in row)
-                for row in rows
-            )
-        a = grid(obj["entries"])
-        b = None if "input_entries" not in obj else grid(obj["input_entries"])
-        return PolyForm(a, dist, b)
+        return PolyForm(read("entries", grid), read("dist", DistributionSpec.from_obj),
+                        read("input_entries", grid, optional=True))
     if form == "sampled":
-        iv = obj["interval"]
-        return SampledDataForm(
-            _sampled.ContinuousPlant.from_obj(obj["plant"]), dist,
-            offset=float(iv["offset"]), scale=float(iv.get("scale", 1.0)),
-            coord=int(iv.get("coord", 0)),
-        )
+        offset, scale, coord = read("interval", lambda iv: (
+            float(iv["offset"]), float(iv.get("scale", 1.0)), int(iv.get("coord", 0))))
+        return SampledDataForm(read("plant", _sampled.ContinuousPlant.from_obj),
+                               read("dist", DistributionSpec.from_obj),
+                               offset=offset, scale=scale, coord=coord)
     if form == "sampled-closed-loop":
-        base = model_from_obj(obj["base"])
-        return ClosedLoopSampledForm(base, np.asarray(obj["F"], float))
+        return ClosedLoopSampledForm(read("base", model_from_obj),
+                                     read("F", lambda F: np.asarray(F, float)))
     raise StochLyapError(f"unknown model form {form!r}")

@@ -5,6 +5,8 @@ None of these is used by the library itself:
 * :func:`second_moment_loop` is the entry-by-entry expansion of ``G2``,
   one ``E[g_u g_v]`` at a time from the polynomial terms of the two
   entries (switched forms: the weighted sum of mode outer products);
+* :func:`evaluate_loop` evaluates ``(A, B)`` draw by draw and term by
+  term from the same fields;
 * :func:`expected_quadratic_factored` and
   :func:`expected_quadratic_row_stacked` evaluate ``P -> E[A^T P A]``
   through the stacked factor and through the row-product matrix, two
@@ -12,11 +14,14 @@ None of these is used by the library itself:
 * :func:`special_case_lmi` and :func:`operator_from_pairs` build the
   textbook operators of the classical special cases (i.i.d. switching,
   zero-mean multiplicative noise), which must equal the general one.
+
+:func:`random_model` draws the random exact models these are checked on.
 """
 
 import numpy as np
 
 from stochlyap.analysis import MomentOperatorMatrix
+from stochlyap.dist import Discrete, DistributionSpec, Exponential, Normal, Uniform
 from stochlyap.errors import UnsupportedForm
 from stochlyap.moments import factorize
 from stochlyap.sysmodel import AffineForm, PolyEntry, PolyForm, SwitchedForm
@@ -36,6 +41,63 @@ def _affine_grid(model, mats, cols):
     return grid
 
 
+_COORDS = (Normal(0.3, 0.7), Uniform(-0.4, 1.1), Exponential(2.5),
+           Discrete((-1.0, 0.5, 2.0), (0.2, 0.5, 0.3)))
+
+
+def random_model(form, m, rng):
+    """A random affine, polynomial or switched model with ``m`` inputs."""
+    n = int(rng.integers(1, 5))
+    if form == "switched":
+        S = int(rng.integers(1, 5))
+        p = rng.dirichlet(np.ones(S))
+        p[-1] = 1.0 - p[:-1].sum()
+        dist = DistributionSpec((Discrete(tuple(range(1, S + 1)), tuple(p)),))
+        b = None if m == 0 else tuple(rng.normal(size=(n, m)) for _ in range(S))
+        return SwitchedForm(tuple(rng.normal(size=(n, n)) for _ in range(S)), dist, b)
+    Z = int(rng.integers(1, 4))
+    dist = DistributionSpec(tuple(_COORDS[i] for i in rng.choice(len(_COORDS), Z)))
+    if form == "affine":
+        b = None if m == 0 else tuple(rng.normal(size=(n, m)) for _ in range(Z + 1))
+        return AffineForm(tuple(rng.normal(size=(n, n)) for _ in range(Z + 1)), dist, b)
+    monomials = [a for a in np.ndindex(*(3,) * Z) if sum(a) <= 2]
+
+    def entry():
+        # a random subset of the monomials, sometimes none (a zero entry)
+        keep = rng.random(len(monomials)) < 0.5
+        return PolyEntry(tuple((rng.normal(), a) for a, k in zip(monomials, keep) if k))
+
+    a = tuple(tuple(entry() for _ in range(n)) for _ in range(n))
+    b = None if m == 0 else tuple(tuple(entry() for _ in range(m)) for _ in range(n))
+    return PolyForm(a, dist, b)
+
+
+def _entry_grids(model):
+    """The ``A`` and ``B`` (or None) entry grids of a polynomial or affine model."""
+    if isinstance(model, PolyForm):
+        return model.a_entries, model.b_entries
+    if isinstance(model, AffineForm):
+        b_grid = None if model.b_mats is None else _affine_grid(model, model.b_mats, model.m)
+        return _affine_grid(model, model.a_mats, model.n), b_grid
+    raise TypeError(type(model).__name__)
+
+
+def evaluate_loop(model, Xi):
+    """``(A, B)`` of an affine, polynomial or switched model on a block, term by term."""
+    Xi = np.asarray(Xi, dtype=float)
+    if isinstance(model, SwitchedForm):
+        idx = [int(round(x)) - 1 for x in Xi[:, 0]]
+        B = None if model.m == 0 else np.array([model.b_modes[k] for k in idx])
+        return np.array([model.a_modes[k] for k in idx]), B
+
+    def grid_at(grid):
+        return np.array([[[sum(c * np.prod(xi ** np.array(a)) for c, a in e.terms) for e in row]
+                          for row in grid] for xi in Xi])
+
+    a_grid, b_grid = _entry_grids(model)
+    return grid_at(a_grid), (None if b_grid is None else grid_at(b_grid))
+
+
 def second_moment_loop(model):
     """``(G2, E[[A, B]])`` of an affine, polynomial or switched model, entry by entry."""
     n, m = model.n, model.m
@@ -49,13 +111,7 @@ def second_moment_loop(model):
             g2 += p * np.outer(g, g)
             mean += p * AB
         return g2, mean
-    if isinstance(model, PolyForm):
-        a_grid, b_grid = model.a_entries, model.b_entries
-    elif isinstance(model, AffineForm):
-        a_grid = _affine_grid(model, model.a_mats, n)
-        b_grid = None if model.b_mats is None else _affine_grid(model, model.b_mats, m)
-    else:
-        raise TypeError(type(model).__name__)
+    a_grid, b_grid = _entry_grids(model)
     entries = [e for row in a_grid for e in row]
     if m:
         entries += [e for row in b_grid for e in row]

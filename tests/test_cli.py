@@ -56,7 +56,44 @@ def control_model(tmp_path):
     return str(path)
 
 
+def _affine_obj(a, a1, law, **body):
+    return {"form": "affine", "n": 1, "Z": 1, "A": [[[a]], [[a1]]],
+            "dist": {"coords": [{law: body}]}}
+
+
+#: Malformed or unusable model files, each with a word its error line must name.
+BAD_MODELS = {
+    "top-level-list": ([1, 2], "JSON object"),
+    "affine-without-A": ({"form": "affine"}, "'A'"),
+    "string-matrix-entry": (_affine_obj("x", 0.0, "constant", value=0.0), "'A'"),
+    "affine-without-dist": ({k: v for k, v in _affine_obj(0.5, 0.0, "constant", value=0.0).items()
+                             if k != "dist"}, "'dist'"),
+    "nan-affine-A": (_affine_obj(float("nan"), 0.0, "normal", mean=0.0, stddev=1.0),
+                     "AffineForm has a non-finite coefficient"),
+    "nan-switched-mode": ({"form": "switched", "n": 1, "Z": 1, "modes": [[[0.5]], [[float("nan")]]],
+                           "dist": {"coords": [{"discrete": {"values": [1, 2], "probs": [0.5, 0.5]}}]}},
+                          "SwitchedForm has a non-finite coefficient"),
+    "inf-poly-term": ({"form": "poly", "n": 1, "Z": 1,
+                       "entries": [[{"terms": [[0.5, [0]], [float("inf"), [1]]]}]],
+                       "dist": {"coords": [{"normal": {"mean": 0.0, "stddev": 1.0}}]}},
+                      "PolyForm has a non-finite coefficient"),
+    "uniform-moment-overflow": (_affine_obj(0.5, 0.1, "uniform", lo=0.0, hi=1e308), "overflow"),
+    "normal-moment-overflow": (_affine_obj(0.5, 0.1, "normal", mean=0.0, stddev=1e200), "overflow"),
+    "g2-overflow": (_affine_obj(0.5, 1e200, "uniform", lo=0.0, hi=1e100), "overflow"),
+}
+
+
 class TestAnalyze:
+    @pytest.mark.parametrize("name", sorted(BAD_MODELS))
+    def test_bad_model_is_one_error_line(self, tmp_path, name):
+        obj, cause = BAD_MODELS[name]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(obj))
+        r = run_cli(["analyze", str(path)])
+        assert r.returncode == 1 and r.stdout == ""
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and cause in lines[0], r.stderr
+
     def test_stable_exit_and_report(self, det_model):
         out = run_cli(["analyze", det_model, "--tol", "1e-9"])
         assert out.returncode == 0

@@ -79,6 +79,24 @@ class TestMoments:
         with pytest.raises(UnsupportedMoment):
             spec.moment((3, 2))
 
+    def test_moment_table_matches_moment(self):
+        # these probabilities sum to 0.9999999999999999, which column 0 must not show
+        spec = DistributionSpec((Normal(1.0, 2.0), Uniform(-1.0, 3.0), Exponential(5.0),
+                                 Discrete((1.0, 2.0, 4.0), (0.7, 0.2, 0.1)), Constant(4.0)))
+        table = spec.moment_table(4)
+        assert table.shape == (5, 5) and (table[:, 0] == 1.0).all()
+        for q in range(5):
+            for d in range(5):
+                assert table[q, d] == spec.moment(tuple(d * (t == q) for t in range(5)))
+        assert np.array_equal(spec.moment_table(2), table[:, :3])
+        with pytest.raises(UnsupportedMoment):
+            spec.moment_table(5)
+
+    @pytest.mark.parametrize("law", [Uniform(0.0, 1e308), Normal(0.0, 1e200), Uniform(-np.inf, 0.0)])
+    def test_moment_table_overflow_is_typed(self, law):
+        with pytest.raises(UnsupportedMoment, match="overflow"):
+            DistributionSpec((Constant(1.0), law)).moment_table(2)
+
     @settings(max_examples=30, deadline=None)
     @given(
         lo=st.floats(-3, 1), width=st.floats(0.1, 4), p=st.integers(0, 4)

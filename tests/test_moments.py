@@ -29,11 +29,12 @@ from stochlyap.moments import (
 )
 from stochlyap import moments
 from stochlyap.sampled import ContinuousPlant
-from stochlyap.sysmodel import AffineForm, PolyEntry, PolyForm, SampledDataForm, SwitchedForm
+from stochlyap.sysmodel import AffineForm, SampledDataForm, SwitchedForm
 
 from moment_oracles import (
     expected_quadratic_factored,
     expected_quadratic_row_stacked,
+    random_model,
     second_moment_loop,
 )
 
@@ -48,37 +49,6 @@ def switched_pair(a1=2.0, a2=0.0, p=0.5, with_input=False):
     dist = DistributionSpec((Discrete((1.0, 2.0), (p, 1.0 - p)),))
     b = (np.array([[1.0]]), np.array([[-0.5]])) if with_input else None
     return SwitchedForm((np.array([[a1]]), np.array([[a2]])), dist, b)
-
-
-_COORDS = (Normal(0.3, 0.7), Uniform(-0.4, 1.1), Exponential(2.5),
-           Discrete((-1.0, 0.5, 2.0), (0.2, 0.5, 0.3)))
-
-
-def random_model(form, m, rng):
-    """A random affine, polynomial or switched model with ``m`` inputs."""
-    n = int(rng.integers(1, 5))
-    if form == "switched":
-        S = int(rng.integers(1, 5))
-        p = rng.dirichlet(np.ones(S))
-        p[-1] = 1.0 - p[:-1].sum()
-        dist = DistributionSpec((Discrete(tuple(range(1, S + 1)), tuple(p)),))
-        b = None if m == 0 else tuple(rng.normal(size=(n, m)) for _ in range(S))
-        return SwitchedForm(tuple(rng.normal(size=(n, n)) for _ in range(S)), dist, b)
-    Z = int(rng.integers(1, 4))
-    dist = DistributionSpec(tuple(_COORDS[i] for i in rng.choice(len(_COORDS), Z)))
-    if form == "affine":
-        b = None if m == 0 else tuple(rng.normal(size=(n, m)) for _ in range(Z + 1))
-        return AffineForm(tuple(rng.normal(size=(n, n)) for _ in range(Z + 1)), dist, b)
-    monomials = [a for a in np.ndindex(*(3,) * Z) if sum(a) <= 2]
-
-    def entry():
-        # a random subset of the monomials, sometimes none (a zero entry)
-        keep = rng.random(len(monomials)) < 0.5
-        return PolyEntry(tuple((rng.normal(), a) for a, k in zip(monomials, keep) if k))
-
-    a = tuple(tuple(entry() for _ in range(n)) for _ in range(n))
-    b = None if m == 0 else tuple(tuple(entry() for _ in range(m)) for _ in range(n))
-    return PolyForm(a, dist, b)
 
 
 class TestAnalytic:

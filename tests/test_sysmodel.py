@@ -14,11 +14,15 @@ from stochlyap.errors import (
 )
 from stochlyap.sysmodel import (
     AffineForm,
+    ClosedLoopSampledForm,
     PolyEntry,
     PolyForm,
+    SampledDataForm,
     SwitchedForm,
     model_from_obj,
 )
+
+from moment_oracles import evaluate_loop, random_model
 
 
 def two_mode_scalar(with_input=False):
@@ -57,6 +61,35 @@ class TestEvaluate:
             two_mode_scalar().evaluate([3.0])
         with pytest.raises(InvalidMode):
             two_mode_scalar().evaluate([1.5])
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("form", ["affine", "poly", "switched"])
+    def test_evaluate_block_matches_term_loop(self, form, m):
+        rng = np.random.default_rng([ord(form[0]), m, 1])
+
+        def close(got, want):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
+
+        for _ in range(10):
+            model = random_model(form, m, rng)
+            Xi = model.dist.sample_block(rng, 50)
+            A, B = evaluate_loop(model, Xi)
+            got_a, got_b = model.evaluate_block(Xi)
+            close(got_a, A)
+            if m == 0:
+                assert got_b is None
+                continue
+            close(got_b, B)
+            F = rng.normal(size=(m, model.n))
+            cl_a, cl_b = model.closed_loop(F).evaluate_block(Xi)
+            close(cl_a, A + B @ F)
+            assert cl_b is None
+
+    def test_every_form_binds_its_own_evaluate_block(self):
+        # the benchmark tracer wraps vars(cls)["evaluate_block"] on each form
+        for cls in (AffineForm, SwitchedForm, PolyForm, SampledDataForm, ClosedLoopSampledForm):
+            assert "evaluate_block" in vars(cls)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
